@@ -21,8 +21,6 @@
 #include "interp/Interpreter.h"
 #include "transform/LoadElimination.h"
 
-#include "support/BuildInfo.h"
-
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -150,8 +148,7 @@ int main(int argc, char **argv) {
   printDepthCapAblation();
   printNestExtensionAblation();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -21,8 +21,6 @@
 #include "frontend/Parser.h"
 #include "telemetry/Telemetry.h"
 
-#include "support/BuildInfo.h"
-
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -264,8 +262,7 @@ int main(int argc, char **argv) {
   printSessionTable();
   printDriverTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

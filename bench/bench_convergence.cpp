@@ -16,8 +16,6 @@
 #include "baseline/NaiveSolver.h"
 #include "frontend/Parser.h"
 
-#include "support/BuildInfo.h"
-
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -103,8 +101,7 @@ BENCHMARK(BM_PaperScheduleMay)->Arg(8)->Arg(32)->Arg(128);
 int main(int argc, char **argv) {
   printConvergenceTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -21,8 +21,6 @@
 #include "frontend/Parser.h"
 #include "telemetry/Telemetry.h"
 
-#include "support/BuildInfo.h"
-
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -298,8 +296,7 @@ BENCHMARK(BM_FourProblemsSessionSimd)->Arg(32)->Arg(512);
 int main(int argc, char **argv) {
   printKernelTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

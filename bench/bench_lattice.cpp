@@ -9,9 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "lattice/Distance.h"
-
-#include "support/BuildInfo.h"
 
 #include <benchmark/benchmark.h>
 
@@ -84,8 +83,7 @@ BENCHMARK(BM_TupleMeet)->Arg(4)->Arg(64)->Arg(1024);
 int main(int argc, char **argv) {
   printLawCheck();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

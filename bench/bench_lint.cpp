@@ -16,8 +16,6 @@
 #include "lint/LintEngine.h"
 #include "lint/Render.h"
 
-#include "support/BuildInfo.h"
-
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -152,8 +150,7 @@ BENCHMARK(BM_RenderSarif);
 int main(int argc, char **argv) {
   printLintTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -10,11 +10,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
 #include "transform/LoadElimination.h"
-
-#include "support/BuildInfo.h"
 
 #include <benchmark/benchmark.h>
 
@@ -119,8 +118,7 @@ BENCHMARK(BM_OriginalExecution);
 int main(int argc, char **argv) {
   printFig7Table();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -10,11 +10,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "analysis/LoopDataFlow.h"
 #include "frontend/Parser.h"
 #include "ir/PrettyPrinter.h"
-
-#include "support/BuildInfo.h"
 
 #include <benchmark/benchmark.h>
 
@@ -123,8 +122,7 @@ BENCHMARK(BM_SymbolicLinearization);
 int main(int argc, char **argv) {
   printFig4Table();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -18,7 +18,6 @@
 #include "analysis/LoopNest.h"
 #include "driver/ProgramAnalysisDriver.h"
 #include "frontend/Parser.h"
-#include "support/BuildInfo.h"
 #include "telemetry/Telemetry.h"
 
 #include <benchmark/benchmark.h>
@@ -203,8 +202,7 @@ BENCHMARK(BM_NestDriverRun)->Arg(2)->Arg(4);
 int main(int argc, char **argv) {
   printNestTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

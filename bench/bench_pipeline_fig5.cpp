@@ -11,11 +11,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "codegen/LoopCodeGen.h"
 #include "frontend/Parser.h"
 #include "machine/Simulator.h"
-
-#include "support/BuildInfo.h"
 
 #include <benchmark/benchmark.h>
 
@@ -124,8 +123,7 @@ BENCHMARK(BM_CodeGenPipelined);
 int main(int argc, char **argv) {
   printFig5Table();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

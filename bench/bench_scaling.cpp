@@ -13,8 +13,6 @@
 #include "analysis/LoopDataFlow.h"
 #include "frontend/Parser.h"
 
-#include "support/BuildInfo.h"
-
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -104,8 +102,7 @@ BENCHMARK(BM_ConditionalDensity)->Arg(0)->Arg(30)->Arg(60)->Arg(90);
 int main(int argc, char **argv) {
   printScalingTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -17,8 +17,6 @@
 #include "BenchUtils.h"
 #include "serve/Server.h"
 
-#include "support/BuildInfo.h"
-
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -226,8 +224,7 @@ BENCHMARK(BM_ServeRequestsPerSec)->Threads(1)->Threads(4)
 int main(int argc, char **argv) {
   printServeTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

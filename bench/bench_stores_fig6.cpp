@@ -10,11 +10,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
 #include "transform/StoreElimination.h"
-
-#include "support/BuildInfo.h"
 
 #include <benchmark/benchmark.h>
 
@@ -114,8 +113,7 @@ BENCHMARK(BM_OriginalExecution);
 int main(int argc, char **argv) {
   printFig6Table();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

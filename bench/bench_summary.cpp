@@ -21,7 +21,6 @@
 #include "dataflow/FlowSummary.h"
 #include "driver/ProgramAnalysisDriver.h"
 #include "frontend/Parser.h"
-#include "support/BuildInfo.h"
 #include "telemetry/Telemetry.h"
 
 #include <benchmark/benchmark.h>
@@ -204,8 +203,7 @@ BENCHMARK(BM_DriverRerunOneEdit)->Arg(8)->Arg(32);
 int main(int argc, char **argv) {
   printSummaryTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -9,11 +9,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "analysis/LoopDataFlow.h"
 #include "frontend/Parser.h"
 #include "ir/PrettyPrinter.h"
-
-#include "support/BuildInfo.h"
 
 #include <benchmark/benchmark.h>
 
@@ -88,8 +87,7 @@ BENCHMARK(BM_Table1ParseAndAnalyze);
 int main(int argc, char **argv) {
   printTable1();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -10,11 +10,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtils.h"
 #include "frontend/Parser.h"
 #include "transform/LoopUnroll.h"
 #include "unroll/UnrollController.h"
-
-#include "support/BuildInfo.h"
 
 #include <benchmark/benchmark.h>
 
@@ -118,8 +117,7 @@ BENCHMARK(BM_UnrollTransform);
 int main(int argc, char **argv) {
   printUnrollTable();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -19,8 +19,6 @@
 #include "interp/Interpreter.h"
 #include "transform/LoadElimination.h"
 
-#include "support/BuildInfo.h"
-
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -116,8 +114,7 @@ BENCHMARK(BM_FrameworkAnalysisConditional);
 int main(int argc, char **argv) {
   printComparison();
   benchmark::Initialize(&argc, argv);
-  benchmark::AddCustomContext("ardf_library_build_type",
-                              ardf::libraryBuildType());
+  ardfbench::addHostFingerprint(benchmark::AddCustomContext);
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

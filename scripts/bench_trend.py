@@ -5,10 +5,14 @@ Two modes:
 
   bench_trend.py [--dir DIR] [--tsv]
       Reads every BENCH_*.json under DIR (default: the repo root) and
-      prints one merged table: a row per benchmark (median-or-single
-      real time in ns) from the Google Benchmark snapshots, followed by
-      the deterministic telemetry counters and histogram summaries from
-      BENCH_stats.json.
+      prints a row per benchmark (median-or-single real time in ns)
+      from the Google Benchmark snapshots, plus the deterministic
+      telemetry counters and histogram summaries from BENCH_stats.json.
+      Timings are only comparable under one host fingerprint (build
+      type, hardware threads, CPU model, SIMD tier; see
+      FINGERPRINT_KEYS), so rows are printed as one table per
+      fingerprint, never mixed; with --tsv the fingerprint is a fifth
+      column.
 
   bench_trend.py --check BASELINE CURRENT
       Compares the deterministic counters of two ardf-stats JSON files
@@ -40,6 +44,16 @@ DETERMINISTIC_COUNTERS = [
     "solver.may.node_visits",
     "solver.may.visit_bound",
 ]
+
+
+# Context keys bench/BenchUtils.h's addHostFingerprint records. Timings
+# are comparable only between snapshots that agree on all of them.
+FINGERPRINT_KEYS = (
+    "ardf_library_build_type",
+    "ardf_host_nproc",
+    "ardf_cpu_model",
+    "ardf_isa",
+)
 
 
 def load(path):
@@ -76,6 +90,20 @@ def stats_rows(doc):
                 yield "histogram", "%s.%s" % (name, q), h[q]
 
 
+def fingerprint(doc):
+    """The host fingerprint a snapshot was recorded under, as text.
+
+    Google Benchmark snapshots carry it in their context (written by
+    addHostFingerprint in bench/BenchUtils.h); anything else, including
+    snapshots older than the fingerprint, reads as "unrecorded".
+    """
+    ctx = doc.get("context", {})
+    if not all(k in ctx for k in FINGERPRINT_KEYS):
+        return "unrecorded"
+    return ", ".join("%s=%s" % (k[len("ardf_"):], ctx[k])
+                     for k in FINGERPRINT_KEYS)
+
+
 def cmd_table(root, tsv):
     paths = sorted(
         os.path.join(root, f)
@@ -87,7 +115,9 @@ def cmd_table(root, tsv):
               file=sys.stderr)
         return 2
 
-    rows = []
+    # Timing rows are grouped by host fingerprint: rows measured on
+    # different hosts never share a table.
+    groups = {}
     for path in paths:
         snap = os.path.basename(path)[len("BENCH_"):-len(".json")]
         try:
@@ -96,6 +126,7 @@ def cmd_table(root, tsv):
             print("bench_trend.py: skipping %s: %s" % (path, e),
                   file=sys.stderr)
             continue
+        rows = groups.setdefault(fingerprint(doc), [])
         if "benchmarks" in doc:
             for _, label, ns in benchmark_rows(snap, doc):
                 rows.append((snap, label, "%.0f" % ns, "ns"))
@@ -105,17 +136,22 @@ def cmd_table(root, tsv):
                              "ns" if key.endswith("_ns") else section))
 
     if tsv:
-        for r in rows:
-            print("\t".join(r))
+        for host, rows in groups.items():
+            for r in rows:
+                print("\t".join(r + (host,)))
         return 0
 
-    widths = [max(len(r[i]) for r in rows + [("snapshot", "name", "value",
-                                              "unit")]) for i in range(4)]
-    fmt = "  ".join("%%-%ds" % w for w in widths)
-    print(fmt % ("snapshot", "name", "value", "unit"))
-    print(fmt % tuple("-" * w for w in widths))
-    for r in rows:
-        print(fmt % r)
+    for n, (host, rows) in enumerate(groups.items()):
+        if n:
+            print()
+        print("host: " + host)
+        widths = [max(len(r[i]) for r in rows + [
+            ("snapshot", "name", "value", "unit")]) for i in range(4)]
+        fmt = "  ".join("%%-%ds" % w for w in widths)
+        print(fmt % ("snapshot", "name", "value", "unit"))
+        print(fmt % tuple("-" * w for w in widths))
+        for r in rows:
+            print(fmt % r)
     return 0
 
 

@@ -2,6 +2,8 @@
 
 #include "analysis/Dependence.h"
 
+#include "analysis/ClassPairTable.h"
+
 #include "ir/PrettyPrinter.h"
 
 #include <algorithm>
@@ -37,15 +39,9 @@ std::vector<Dependence> DependenceInfo::distanceOne() const {
   return Result;
 }
 
-namespace {
-
-/// Smallest iteration distance delta >= Pr at which From(i - delta) may
-/// equal To(i) for some i in [1, Trip]. Conservative in the may sense:
-/// symbolic uncertainty reports a dependence at distance Pr rather than
-/// missing one. Returns nullopt when overlap is provably impossible.
-std::optional<int64_t> minOverlapDistance(const AffineAccess &From,
-                                          const AffineAccess &To, int64_t Pr,
-                                          int64_t Trip) {
+std::optional<int64_t> ardf::minOverlapDistance(const AffineAccess &From,
+                                                const AffineAccess &To,
+                                                int64_t Pr, int64_t Trip) {
   Poly Da = From.A - To.A;
   Poly Db = From.B - To.B;
 
@@ -115,6 +111,8 @@ std::optional<int64_t> minOverlapDistance(const AffineAccess &From,
   return M.ceil();
 }
 
+namespace {
+
 DepKind kindOf(bool FromIsDef, bool ToIsDef) {
   if (FromIsDef)
     return ToIsDef ? DepKind::Output : DepKind::Flow;
@@ -130,21 +128,27 @@ DependenceInfo ardf::extractDependences(const LoopDataFlow &DF,
   const ReferenceUniverse &U = DF.universe();
   int64_t Trip = DF.graph().getTripCount();
 
+  // The overlap distance depends only on the (from, to) access classes
+  // and pr, one table variant per pr value.
+  ClassPairTable Distances(FW, /*Variants=*/2);
+
   for (const RefOccurrence &To : U.occurrences()) {
     if (!To.isTrackable())
       continue;
-    for (unsigned Idx = 0; Idx != FW.getNumTracked(); ++Idx) {
+    unsigned ToClass = U.accessClass(To.Id);
+    // Only same-array references overlap; the bucket is ascending, so
+    // dependences come out in the same order as a scan of every element.
+    for (unsigned Idx : FW.trackedOfArray(U.arrayId(To.Id))) {
       const RefOccurrence &From = FW.getTracked(Idx);
       if (From.Id == To.Id)
-        continue;
-      if (From.arrayName() != To.arrayName())
         continue;
       DepKind Kind = kindOf(From.IsDef, To.IsDef);
       if (Kind == DepKind::Input && !IncludeInput)
         continue;
       int64_t Pr = FW.pr(Idx, To.Node);
-      std::optional<int64_t> D =
-          minOverlapDistance(*From.Affine, *To.Affine, Pr, Trip);
+      std::optional<int64_t> D = Distances.get(Idx, Pr, ToClass, [&] {
+        return minOverlapDistance(*From.Affine, *To.Affine, Pr, Trip);
+      });
       if (!D)
         continue;
       if (!DF.valueAt(To.Node, Idx).covers(*D))

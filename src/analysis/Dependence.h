@@ -65,6 +65,15 @@ struct DependenceInfo {
   std::vector<Dependence> distanceOne() const;
 };
 
+/// Smallest iteration distance delta >= \p Pr at which From(i - delta)
+/// may equal To(i) for some i in [1, \p Trip]. Conservative in the may
+/// sense: symbolic uncertainty reports a dependence at distance Pr
+/// rather than missing one. Returns nullopt when overlap is provably
+/// impossible.
+std::optional<int64_t> minOverlapDistance(const AffineAccess &From,
+                                          const AffineAccess &To, int64_t Pr,
+                                          int64_t Trip);
+
 /// Runs delta-reaching references on \p Loop and extracts dependences.
 /// Input "dependences" (use -> use) are included only when
 /// \p IncludeInput is set.

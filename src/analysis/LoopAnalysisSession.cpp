@@ -2,6 +2,8 @@
 
 #include "analysis/LoopAnalysisSession.h"
 
+#include "analysis/ClassPairTable.h"
+
 #include "support/FailPoint.h"
 #include "telemetry/Telemetry.h"
 
@@ -230,45 +232,40 @@ std::vector<ReusePair> ardf::collectReusePairs(const FrameworkInstance &FW,
   const ReferenceUniverse &U = FW.getUniverse();
   const bool Backward = FW.getSpec().isBackward();
 
-  // The tracked representatives are loop-invariant: resolve each tuple
-  // element's id and affine view once instead of per (sink, source)
-  // combination.
-  struct Source {
-    unsigned Id;
-    const AffineAccess *Affine;
-  };
-  std::vector<Source> Sources;
-  Sources.reserve(NumTracked);
-  for (unsigned Idx = 0; Idx != NumTracked; ++Idx) {
-    const RefOccurrence &Rep = FW.getTracked(Idx);
-    Sources.push_back(Source{Rep.Id, &*Rep.Affine});
-  }
+  // The reuse distance depends only on the (source, sink) access
+  // classes.
+  ClassPairTable Distances(FW);
   Pairs.reserve(U.size());
 
   for (const RefOccurrence &Sink : U.occurrences()) {
     if (!selects(SinkSel, Sink) || !Sink.isTrackable())
       continue;
-    const AffineAccess &SinkAffine = *Sink.Affine;
+    unsigned SinkClass = U.accessClass(Sink.Id);
     DistanceMatrix::ConstRow InRow = Result.In[Sink.Node];
-    for (unsigned Idx = 0; Idx != NumTracked; ++Idx) {
-      if (Sources[Idx].Id == Sink.Id)
+    // Only same-array sources can reuse; the bucket is ascending, so
+    // pairs come out in the same order as a scan of every element.
+    for (unsigned Idx : FW.trackedOfArray(U.arrayId(Sink.Id))) {
+      const RefOccurrence &Source = FW.getTracked(Idx);
+      if (Source.Id == Sink.Id)
         continue;
       // Forward problems: the source executed delta iterations earlier,
       // Source.subscript(i - delta) == Sink.subscript(i). Backward
       // problems look into the future: Source.subscript(i + delta) ==
       // Sink.subscript(i), which is the same equation with the roles
       // swapped.
-      std::optional<Rational> Delta =
-          Backward ? constantReuseDistance(SinkAffine, *Sources[Idx].Affine)
-                   : constantReuseDistance(*Sources[Idx].Affine, SinkAffine);
-      if (!Delta || !Delta->isInteger())
+      std::optional<int64_t> D = Distances.get(Idx, 0, SinkClass, [&] {
+        std::optional<Rational> Delta =
+            Backward ? constantReuseDistance(*Sink.Affine, *Source.Affine)
+                     : constantReuseDistance(*Source.Affine, *Sink.Affine);
+        return Delta && Delta->isInteger()
+                   ? std::optional<int64_t>(Delta->asInteger())
+                   : std::nullopt;
+      });
+      if (!D || *D < FW.pr(Idx, Sink.Node))
         continue;
-      int64_t D = Delta->asInteger();
-      if (D < FW.pr(Idx, Sink.Node))
+      if (!InRow[Idx].covers(*D))
         continue;
-      if (!InRow[Idx].covers(D))
-        continue;
-      Pairs.push_back(ReusePair{Sources[Idx].Id, Sink.Id, D});
+      Pairs.push_back(ReusePair{Source.Id, Sink.Id, *D});
     }
   }
   return Pairs;

@@ -131,7 +131,18 @@ void LoopFlowGraph::computeRPO() {
 
 void LoopFlowGraph::computeReachability() {
   unsigned N = Nodes.size();
-  Reach.assign(N * N, false);
+  Words = (N + 63) / 64;
+  Reach.assign(size_t(N) * Words, 0);
+  ReachedBy.assign(size_t(N) * Words, 0);
+  auto setBit = [&](std::vector<uint64_t> &Rows, unsigned Row, unsigned Bit) {
+    Rows[size_t(Row) * Words + Bit / 64] |= uint64_t(1) << (Bit % 64);
+  };
+  auto orRow = [&](std::vector<uint64_t> &Rows, unsigned Dst, unsigned Src) {
+    uint64_t *D = &Rows[size_t(Dst) * Words];
+    const uint64_t *S = &Rows[size_t(Src) * Words];
+    for (unsigned W = 0; W != Words; ++W)
+      D[W] |= S[W];
+  };
   // Process in reverse RPO so successors' reach sets are complete:
   // reach(n) = union over intra-iteration successors s of {s} + reach(s).
   for (auto It = RPO.rbegin(); It != RPO.rend(); ++It) {
@@ -139,12 +150,20 @@ void LoopFlowGraph::computeReachability() {
     if (Node == Exit)
       continue; // only the back edge leaves exit
     for (unsigned Succ : Nodes[Node].Succs) {
-      Reach[Node * N + Succ] = true;
-      for (unsigned K = 0; K != N; ++K)
-        if (Reach[Succ * N + K])
-          Reach[Node * N + K] = true;
+      setBit(Reach, Node, Succ);
+      orRow(Reach, Node, Succ);
     }
   }
+  // The transpose, in RPO: reachedBy(n) = union over intra-iteration
+  // predecessors p of {p} + reachedBy(p). Exit is nobody's
+  // intra-iteration predecessor.
+  for (unsigned Node : RPO)
+    for (unsigned Pred : Nodes[Node].Preds) {
+      if (Pred == Exit)
+        continue;
+      setBit(ReachedBy, Node, Pred);
+      orRow(ReachedBy, Node, Pred);
+    }
 }
 
 void LoopFlowGraph::numberStatements() {

@@ -22,6 +22,7 @@
 
 #include "ir/Program.h"
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -78,7 +79,19 @@ public:
   /// This implements the paper's pr predicate support: pr(d, n) == 0 iff
   /// the node of d reaches n within the same iteration.
   bool reachesIntraIteration(unsigned From, unsigned To) const {
-    return Reach[From * Nodes.size() + To];
+    return (reachRow(From)[To / 64] >> (To % 64)) & 1;
+  }
+
+  /// The reachability relation as bitset rows of reachWords() words:
+  /// bit To of reachRow(From) and bit From of reachedByRow(To) are both
+  /// set iff reachesIntraIteration(From, To). Clients that need the
+  /// union over several nodes OR whole rows instead of probing pairs.
+  unsigned reachWords() const { return Words; }
+  const uint64_t *reachRow(unsigned From) const {
+    return &Reach[size_t(From) * Words];
+  }
+  const uint64_t *reachedByRow(unsigned To) const {
+    return &ReachedBy[size_t(To) * Words];
   }
 
   /// Finds the node id for statement \p S (Statement/Guard/Summary), or
@@ -112,7 +125,9 @@ private:
   unsigned Entry = 0;
   unsigned Exit = 0;
   std::vector<unsigned> RPO;
-  std::vector<bool> Reach;
+  unsigned Words = 0;
+  std::vector<uint64_t> Reach;
+  std::vector<uint64_t> ReachedBy;
 };
 
 } // namespace ardf

@@ -106,30 +106,68 @@ void FrameworkInstance::selectTracked() {
     OccToTracked[Occ.Id] = Groups.size();
     Groups.push_back({Occ.Id});
   }
+  unsigned N = Graph->getNumNodes();
+  unsigned T = Groups.size();
 
-  GenAt.assign(Graph->getNumNodes() * Groups.size(), 0);
-  for (unsigned Idx = 0; Idx != Groups.size(); ++Idx)
-    for (unsigned OccId : Groups[Idx])
-      GenAt[Universe->occurrence(OccId).Node * Groups.size() + Idx] = 1;
+  // Tuple positions bucketed by array, ascending within each bucket.
+  ArrayOffsets.assign(Universe->numArrays() + 1, 0);
+  for (unsigned Idx = 0; Idx != T; ++Idx)
+    ++ArrayOffsets[Universe->arrayId(Groups[Idx].front()) + 1];
+  for (unsigned A = 0; A != Universe->numArrays(); ++A)
+    ArrayOffsets[A + 1] += ArrayOffsets[A];
+  ArrayTracked.resize(T);
+  std::vector<unsigned> Fill(ArrayOffsets.begin(), ArrayOffsets.end() - 1);
+  for (unsigned Idx = 0; Idx != T; ++Idx)
+    ArrayTracked[Fill[Universe->arrayId(Groups[Idx].front())]++] = Idx;
+
+  // Generating cells: dense flags plus the CSR layout of the
+  // post-generation constants. Columns are visited in ascending order,
+  // so each node's bucket comes out sorted and a group with several
+  // members in one node claims its cell once.
+  GenAt.assign(size_t(N) * T, 0);
+  GenOffsets.assign(N + 1, 0);
+  for (unsigned Idx = 0; Idx != T; ++Idx)
+    for (unsigned OccId : Groups[Idx]) {
+      unsigned Node = Universe->occurrence(OccId).Node;
+      char &G = GenAt[size_t(Node) * T + Idx];
+      if (!G)
+        ++GenOffsets[Node + 1];
+      G = 1;
+    }
+  for (unsigned Node = 0; Node != N; ++Node)
+    GenOffsets[Node + 1] += GenOffsets[Node];
+  GenCols.resize(GenOffsets[N]);
+  Fill.assign(GenOffsets.begin(), GenOffsets.end() - 1);
+  for (unsigned Idx = 0; Idx != T; ++Idx)
+    for (unsigned OccId : Groups[Idx]) {
+      unsigned Node = Universe->occurrence(OccId).Node;
+      if (Fill[Node] == GenOffsets[Node] || GenCols[Fill[Node] - 1] != Idx)
+        GenCols[Fill[Node]++] = Idx;
+    }
 }
 
 void FrameworkInstance::computePr() {
+  // pr(d, n) == 0 iff a generating node of d reaches n in the working
+  // orientation within the same iteration, so the distance-0 instance
+  // is in range (Section 3.1.2). A group's reach set is the union of
+  // its members' reachability rows.
   unsigned N = Graph->getNumNodes();
-  Pr.assign(Groups.size() * N, 1);
+  unsigned Words = Graph->reachWords();
+  Pr.assign(Groups.size() * size_t(N), 1);
+  std::vector<uint64_t> Row(Words);
   for (unsigned Idx = 0; Idx != Groups.size(); ++Idx) {
+    std::fill(Row.begin(), Row.end(), 0);
     for (unsigned OccId : Groups[Idx]) {
       unsigned Home = Universe->occurrence(OccId).Node;
-      for (unsigned Node = 0; Node != N; ++Node) {
-        // pr(d, n) == 0 iff a generating node of d reaches n in the
-        // working orientation within the same iteration, so the
-        // distance-0 instance is in range (Section 3.1.2).
-        bool Reaches = Spec.isBackward()
-                           ? Graph->reachesIntraIteration(Node, Home)
-                           : Graph->reachesIntraIteration(Home, Node);
-        if (Reaches)
-          Pr[Idx * N + Node] = 0;
-      }
+      const uint64_t *Reach = Spec.isBackward() ? Graph->reachedByRow(Home)
+                                                : Graph->reachRow(Home);
+      for (unsigned W = 0; W != Words; ++W)
+        Row[W] |= Reach[W];
     }
+    uint8_t *PrRow = &Pr[size_t(Idx) * N];
+    for (unsigned Node = 0; Node != N; ++Node)
+      if ((Row[Node / 64] >> (Node % 64)) & 1)
+        PrRow[Node] = 0;
   }
 }
 
@@ -137,8 +175,8 @@ void FrameworkInstance::computePreserves() {
   unsigned N = Graph->getNumNodes();
   unsigned T = Groups.size();
   int64_t Trip = TripCount;
-  Preserve.assign(N * T, DistanceValue::allInstances());
-  PreserveAfter.assign(N * T, DistanceValue::allInstances());
+  Preserve.assign(size_t(N) * T, DistanceValue::allInstances());
+  PreserveAfter.assign(GenCols.size(), DistanceValue::allInstances());
 
   // Micro-position of an occurrence within its statement, in working
   // execution order: forward problems execute uses (0) before the def
@@ -148,15 +186,35 @@ void FrameworkInstance::computePreserves() {
     return Spec.isBackward() ? 1 - Forward : Forward;
   };
 
+  std::vector<unsigned> TrackedClass(T);
+  for (unsigned Idx = 0; Idx != T; ++Idx)
+    TrackedClass[Idx] = Universe->accessClass(Groups[Idx].front());
+  // While a node is processed, CellOf maps each column it generates to
+  // its generating cell, and FirstGenPos holds that cell's earliest
+  // member micro-position.
+  std::vector<int> CellOf(T, -1);
+  std::vector<unsigned> FirstGenPos(GenCols.size(), 2);
+  uint64_t NumClasses = Universe->numAccessClasses();
+  uint64_t Hits = 0, Misses = 0;
+
   for (unsigned Node = 0; Node != N; ++Node) {
+    for (unsigned K = GenOffsets[Node]; K != GenOffsets[Node + 1]; ++K)
+      CellOf[GenCols[K]] = K;
+    for (unsigned OccId : Universe->occurrencesAt(Node))
+      if (int Idx = OccToTracked[OccId]; Idx >= 0) {
+        unsigned &First = FirstGenPos[CellOf[Idx]];
+        First = std::min(First, microPos(Universe->occurrence(OccId)));
+      }
+
     for (unsigned KillId : Universe->occurrencesAt(Node)) {
       const RefOccurrence &Killer = Universe->occurrence(KillId);
       if (!selects(Spec.Kill, Killer))
         continue;
-      for (unsigned Idx = 0; Idx != T; ++Idx) {
-        const RefOccurrence &D = getTracked(Idx);
-        if (D.arrayName() != Killer.arrayName())
-          continue;
+      uint64_t KillerClass = Killer.KillsWholeArray
+                                 ? NumClasses
+                                 : Universe->accessClass(KillId);
+      unsigned KillerPos = microPos(Killer);
+      for (unsigned Idx : trackedOfArray(Universe->arrayId(KillId))) {
         // A killer that is itself a member regenerates the tracked
         // value in the same breath; its (distance-0) kill is subsumed.
         if (OccToTracked[KillId] == static_cast<int>(Idx))
@@ -164,57 +222,63 @@ void FrameworkInstance::computePreserves() {
         // A killer in a generating node of d positioned after the
         // generation point applies post-generation, with the fresh
         // distance-0 instance already in range.
-        bool GenNode = generatesAt(Idx, Node);
-        bool AfterGen = false;
-        if (GenNode)
-          for (unsigned MemberId : Groups[Idx])
-            if (Universe->occurrence(MemberId).Node == Node &&
-                microPos(Killer) >
-                    microPos(Universe->occurrence(MemberId)))
-              AfterGen = true;
+        int Cell = CellOf[Idx];
+        bool AfterGen = Cell >= 0 && KillerPos > FirstGenPos[Cell];
         int64_t EffPr = AfterGen ? 0 : pr(Idx, Node);
         // The constant depends only on the access-class pair, pr, mode,
         // and direction (trip count is fixed per cache): memoized, so
         // repeated killers of one class and sibling instances sharing
         // the session cache skip the rational arithmetic.
-        uint64_t KillerClass = Killer.KillsWholeArray
-                                   ? uint64_t(Universe->numAccessClasses())
-                                   : Universe->accessClass(KillId);
         uint64_t Key =
-            (uint64_t(Universe->accessClass(D.Id)) *
-                 (Universe->numAccessClasses() + 1) +
-             KillerClass) *
+            (uint64_t(TrackedClass[Idx]) * (NumClasses + 1) + KillerClass) *
                 8 +
             uint64_t(EffPr) * 4 + uint64_t(Spec.isMust()) * 2 +
             uint64_t(Spec.isBackward());
         auto [CacheIt, Inserted] =
             Cache->Map.try_emplace(Key, DistanceValue::noInstance());
-        if (Inserted)
-          ++Cache->Misses;
-        else
-          ++Cache->Hits;
-        telem::count(Inserted ? telem::Counter::PreserveMisses
-                              : telem::Counter::PreserveHits);
         if (Inserted) {
+          ++Misses;
           PreserveQuery Q;
-          Q.Preserved = &*D.Affine;
+          Q.Preserved = &*getTracked(Idx).Affine;
           Q.Killer = Killer.KillsWholeArray ? nullptr : &*Killer.Affine;
           Q.Pr = EffPr;
           Q.TripCount = Trip;
           Q.Mode = Spec.Mode;
           Q.Direction = Spec.Direction;
           CacheIt->second = computePreserveConstant(Q);
+        } else {
+          ++Hits;
         }
         DistanceValue P = CacheIt->second;
         // Several killers compose; surviving instances must survive
         // each of them.
-        DistanceValue &Slot =
-            AfterGen ? PreserveAfter[Node * T + Idx]
-                     : Preserve[Node * T + Idx];
+        DistanceValue &Slot = AfterGen ? PreserveAfter[Cell]
+                                       : Preserve[size_t(Node) * T + Idx];
         Slot = DistanceValue::min(Slot, P);
       }
     }
+
+    for (unsigned K = GenOffsets[Node]; K != GenOffsets[Node + 1]; ++K)
+      CellOf[GenCols[K]] = -1;
   }
+
+  // One telemetry update per instance rather than per probe.
+  Cache->Hits += Hits;
+  Cache->Misses += Misses;
+  if (Hits)
+    telem::count(telem::Counter::PreserveHits, Hits);
+  if (Misses)
+    telem::count(telem::Counter::PreserveMisses, Misses);
+}
+
+DistanceValue FrameworkInstance::preserveAfterGen(unsigned Idx,
+                                                  unsigned Node) const {
+  auto Begin = GenCols.begin() + GenOffsets[Node];
+  auto End = GenCols.begin() + GenOffsets[Node + 1];
+  auto It = std::lower_bound(Begin, End, Idx);
+  if (It == End || *It != Idx)
+    return DistanceValue::allInstances();
+  return PreserveAfter[It - GenCols.begin()];
 }
 
 DistanceValue FrameworkInstance::applyNode(unsigned Node, unsigned Idx,

@@ -44,6 +44,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -348,12 +349,21 @@ public:
   /// Maps an occurrence id to its tuple position, or -1 if untracked.
   int trackedIndexOf(unsigned OccId) const { return OccToTracked[OccId]; }
 
+  /// The tuple positions whose references name array \p ArrayId
+  /// (ReferenceUniverse::arrayId), in ascending order. Per-pair loops
+  /// scan this bucket instead of every tracked element: references to
+  /// different arrays never kill, reuse, or depend on each other.
+  std::span<const unsigned> trackedOfArray(unsigned ArrayId) const {
+    return {ArrayTracked.data() + ArrayOffsets[ArrayId],
+            ArrayTracked.data() + ArrayOffsets[ArrayId + 1]};
+  }
+
   /// pr(d, n) for tracked index \p Idx at node \p Node, evaluated in the
   /// working orientation (Section 3.1.2; successors for backward
   /// problems). For a grouped element, 0 when any member's node reaches
   /// \p Node intra-iteration.
   int64_t pr(unsigned Idx, unsigned Node) const {
-    return Pr[Idx * Graph->getNumNodes() + Node];
+    return Pr[size_t(Idx) * Graph->getNumNodes() + Node];
   }
 
   /// True if tracked reference \p Idx is generated in node \p Node.
@@ -375,9 +385,8 @@ public:
   /// value in a forward problem, or a same-statement use killing the
   /// store's busyness in a backward problem) must apply after the
   /// generate function, with the fresh distance-0 instance in range.
-  DistanceValue preserveAfterGen(unsigned Idx, unsigned Node) const {
-    return PreserveAfter[Node * Groups.size() + Idx];
-  }
+  /// AllInstances for every cell where \p Idx is not generated.
+  DistanceValue preserveAfterGen(unsigned Idx, unsigned Node) const;
 
   /// Applies the node flow function f_n to one tuple component.
   DistanceValue applyNode(unsigned Node, unsigned Idx,
@@ -425,9 +434,18 @@ private:
   PreserveCache *Cache;
   std::vector<std::vector<unsigned>> Groups;
   std::vector<int> OccToTracked;
+  /// Tuple positions bucketed by array id (see trackedOfArray).
+  std::vector<unsigned> ArrayOffsets;
+  std::vector<unsigned> ArrayTracked;
   std::vector<char> GenAt;
-  std::vector<int64_t> Pr;
+  /// pr(d, n) per (Idx, Node); values are 0 and 1 only.
+  std::vector<uint8_t> Pr;
   std::vector<DistanceValue> Preserve;
+  /// Post-generation constants of the generating cells only, CSR by
+  /// node: PreserveAfter[k] belongs to column GenCols[k], k in
+  /// [GenOffsets[n], GenOffsets[n+1]), columns ascending per node.
+  std::vector<unsigned> GenOffsets;
+  std::vector<unsigned> GenCols;
   std::vector<DistanceValue> PreserveAfter;
 };
 

@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <map>
+#include <string_view>
 
 using namespace ardf;
 
@@ -28,16 +29,23 @@ ReferenceUniverse::ReferenceUniverse(const LoopFlowGraph &Graph,
   ByNode.resize(Graph.getNumNodes());
   for (unsigned Node = 0, E = Graph.getNumNodes(); Node != E; ++Node)
     collectFromNode(Node);
-  computeAccessClasses();
+  computeClasses();
 }
 
-void ReferenceUniverse::computeAccessClasses() {
+void ReferenceUniverse::computeClasses() {
   // The canonical printed affine form is computed once per occurrence
   // here; framework instances group and cache by the resulting class
   // ids without touching strings again.
   ClassOf.assign(Occs.size(), noAccessClass);
+  ArrayOf.assign(Occs.size(), 0);
   std::map<std::string, unsigned> ClassOfKey;
+  std::map<std::string_view, unsigned> ArrayOfName;
   for (const RefOccurrence &Occ : Occs) {
+    auto [ArrIt, NewArray] =
+        ArrayOfName.try_emplace(Occ.arrayName(), NumArrays);
+    if (NewArray)
+      ++NumArrays;
+    ArrayOf[Occ.Id] = ArrIt->second;
     if (!Occ.isTrackable())
       continue;
     std::string Key = Occ.arrayName() + "|" + Occ.Affine->A.toString() +

@@ -105,6 +105,13 @@ public:
   unsigned numAccessClasses() const { return NumClasses; }
   static constexpr unsigned noAccessClass = ~0u;
 
+  /// Interned array id of occurrence \p Id (trackable or not): two
+  /// occurrences reference the same array iff their ids are equal. Ids
+  /// are dense in [0, numArrays()), so per-array buckets are plain
+  /// vectors and same-array tests are integer compares.
+  unsigned arrayId(unsigned Id) const { return ArrayOf[Id]; }
+  unsigned numArrays() const { return NumArrays; }
+
   const LoopFlowGraph &getGraph() const { return *Graph; }
   const Program &getProgram() const { return *Prog; }
 
@@ -115,7 +122,7 @@ private:
   void addOccurrence(const ArrayRefExpr &Ref, unsigned Node,
                      const Stmt &Owner, bool IsDef, bool InSummary);
   void collectSummary(const DoLoopStmt &Inner, unsigned Node);
-  void computeAccessClasses();
+  void computeClasses();
 
   const LoopFlowGraph *Graph;
   const Program *Prog;
@@ -124,6 +131,8 @@ private:
   std::vector<std::vector<unsigned>> ByNode;
   std::vector<unsigned> ClassOf;
   unsigned NumClasses = 0;
+  std::vector<unsigned> ArrayOf;
+  unsigned NumArrays = 0;
 };
 
 } // namespace ardf

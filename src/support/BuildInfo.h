@@ -34,6 +34,12 @@ const char *libraryBuildType();
 /// the library's own flags are the honest source).
 std::string toolVersionLine(const char *Tool);
 
+/// The host CPU's brand string (e.g. "Intel(R) Xeon(R) Processor"), read
+/// through cpuid on x86 and "unknown" elsewhere. Part of the host
+/// fingerprint benchmark snapshots record, so timings from different
+/// machines are never compared as if they were one series.
+std::string hostCpuModel();
+
 } // namespace ardf
 
 #endif // ARDF_SUPPORT_BUILDINFO_H

@@ -9,10 +9,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/LoopAnalysisSession.h"
+#include "driver/ProgramAnalysisDriver.h"
 #include "frontend/Parser.h"
+#include "lint/Checks.h"
 #include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace ardf;
 
@@ -119,4 +124,99 @@ TEST(SessionStatsTest, NoTelemetryContextLeavesStatsWorking) {
   Fixture F(Source);
   F.Session.solve(ProblemSpec::availableValues());
   EXPECT_EQ(F.Session.cacheStats().SolutionMisses, 1u);
+}
+
+namespace {
+
+/// Preserve-cache tallies of one bundled example, summed over the
+/// sessions of its supported loops after solving tallyProblems().
+struct PreserveTally {
+  const char *File;
+  uint64_t Hits;
+  uint64_t Misses;
+};
+
+// Pinned: every framework instance probes the shared cache once per
+// (node, killer, same-array tracked element) triple, so these totals are
+// a pure function of the examples and the problem list. Any change in
+// which pairs are probed -- or in how the probes are tallied -- moves
+// them.
+const PreserveTally PinnedTallies[] = {
+    {"fig1.arf", 33, 27},  {"fig4.arf", 6, 9},     {"fig5.arf", 2, 3},
+    {"nested.arf", 9, 16}, {"stencil.arf", 0, 0},
+};
+
+/// The lint problems followed by the paper's four (the grouped
+/// instances share the per-occurrence ones' preserve cache entries).
+std::vector<ProblemSpec> tallyProblems() {
+  std::vector<ProblemSpec> Specs = lintProblems();
+  for (const ProblemSpec &Spec : paperProblems())
+    Specs.push_back(Spec);
+  return Specs;
+}
+
+Program loadExample(const char *File) {
+  std::ifstream In(std::string(ARDF_EXAMPLES_DIR) + "/" + File);
+  EXPECT_TRUE(In) << File;
+  std::stringstream Text;
+  Text << In.rdbuf();
+  return parseOrDie(Text.str());
+}
+
+} // namespace
+
+TEST(SessionStatsTest, PreserveTalliesArePinnedOverExamples) {
+  for (const PreserveTally &Pin : PinnedTallies) {
+    Program P = loadExample(Pin.File);
+    telem::Telemetry T;
+    uint64_t Hits = 0, Misses = 0;
+    {
+      telem::TelemetryScope Scope(T);
+      LoopNestTree Tree(P);
+      for (const std::unique_ptr<NestLoop> &L : Tree.all()) {
+        if (!L->isSupported())
+          continue;
+        LoopAnalysisSession Session(P, *L->Analyzed);
+        for (const ProblemSpec &Spec : tallyProblems())
+          Session.solve(Spec);
+        SessionCacheStats S = Session.cacheStats();
+        EXPECT_EQ(S.PreserveHits, Session.preserveCache().hits());
+        EXPECT_EQ(S.PreserveMisses, Session.preserveCache().misses());
+        Hits += S.PreserveHits;
+        Misses += S.PreserveMisses;
+      }
+    }
+    EXPECT_EQ(Hits, Pin.Hits) << Pin.File;
+    EXPECT_EQ(Misses, Pin.Misses) << Pin.File;
+    EXPECT_EQ(T.get(telem::Counter::PreserveHits), Hits) << Pin.File;
+    EXPECT_EQ(T.get(telem::Counter::PreserveMisses), Misses) << Pin.File;
+  }
+}
+
+TEST(SessionStatsTest, ThreadedDriverPreserveTalliesMatchPins) {
+  for (const PreserveTally &Pin : PinnedTallies) {
+    Program P = loadExample(Pin.File);
+    DriverOptions Opts;
+    Opts.Threads = 3;
+    Opts.Problems = tallyProblems();
+    telem::Telemetry T;
+    uint64_t Hits = 0, Misses = 0;
+    {
+      telem::TelemetryScope Scope(T);
+      ProgramAnalysisDriver Driver(P, Opts);
+      Driver.run();
+      for (const AnalyzedLoop &L : Driver.loops()) {
+        if (!L.Session)
+          continue;
+        Hits += L.Session->cacheStats().PreserveHits;
+        Misses += L.Session->cacheStats().PreserveMisses;
+      }
+    }
+    EXPECT_EQ(Hits, Pin.Hits) << Pin.File;
+    EXPECT_EQ(Misses, Pin.Misses) << Pin.File;
+    // Worker threads report into the same context; the per-instance
+    // batched updates must add up exactly.
+    EXPECT_EQ(T.get(telem::Counter::PreserveHits), Hits) << Pin.File;
+    EXPECT_EQ(T.get(telem::Counter::PreserveMisses), Misses) << Pin.File;
+  }
 }
