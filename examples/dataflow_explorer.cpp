@@ -12,8 +12,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Dependence.h"
-#include "analysis/HierarchicalAnalysis.h"
 #include "analysis/LoopDataFlow.h"
+#include "driver/ProgramAnalysisDriver.h"
 #include "frontend/Parser.h"
 #include "ir/PrettyPrinter.h"
 #include "passes/LoopNormalize.h"
@@ -40,11 +40,7 @@ ProblemSpec specFor(const std::string &Name) {
   return ProblemSpec::mustReachingDefs();
 }
 
-void dumpSolution(const Program &P, const DoLoopStmt &Loop,
-                  ProblemSpec Spec) {
-  SolverOptions Opts;
-  Opts.RecordHistory = true;
-  LoopDataFlow DF(P, Loop, Spec, Opts);
+void dumpSolution(const LoopDataFlow &DF, const ProblemSpec &Spec) {
   const LoopFlowGraph &Graph = DF.graph();
 
   std::cout << "Problem: " << Spec.Name << "  tuple "
@@ -113,20 +109,26 @@ int main(int Argc, char **Argv) {
   // from the nesting tree, so counted whiles are reduced to DO form and
   // rejected loops (early exits, uncounted whiles) are reported, not
   // silently skipped.
-  HierarchicalAnalysis HA(P, specFor(Problem));
-  HA.nest().forEach([](const NestLoop &N) {
+  ProblemSpec Spec = specFor(Problem);
+  DriverOptions Opts;
+  Opts.Problems = {Spec};
+  ProgramAnalysisDriver Driver(P, Opts);
+  Driver.run();
+  Driver.nest().forEach([](const NestLoop &N) {
     if (!N.isSupported())
       std::cout << "warning: loop at nest path '" << N.path()
                 << "' not analyzed: " << N.UnsupportedReason << '\n';
   });
-  for (const LoopResult &R : HA.loops()) {
+  for (const AnalyzedLoop &R : Driver.loops()) {
+    if (!R.Session)
+      continue;
     std::cout << "\n== loop over '" << R.Loop->getIndVar() << "' (depth "
               << R.Depth << ") ==\n";
     if (Dot)
-      R.DF->graph().printDot(std::cout);
-    dumpSolution(P, *R.Loop, specFor(Problem));
+      R.Session->graph().printDot(std::cout);
+    dumpSolution(LoopDataFlow(*R.Session, Spec), Spec);
     if (Deps) {
-      LoopDataFlow DF(P, *R.Loop, ProblemSpec::reachingReferences());
+      LoopDataFlow DF(*R.Session, ProblemSpec::reachingReferences());
       printDependences(std::cout, extractDependences(DF), DF);
     }
   }

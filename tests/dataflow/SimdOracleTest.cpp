@@ -1,7 +1,7 @@
 //===- tests/dataflow/SimdOracleTest.cpp - Scalar vs SIMD oracle ---------===//
 //
 // The solver half of the SIMD guarantee: under every dispatch tier the
-// host can execute, the packed engines must produce bit-identical
+// host can execute, the packed engine must produce bit-identical
 // SolveResults to the Reference engine over the randomized corpus and
 // the boundary shapes, for all paper problems (plus per-occurrence
 // variants) and both pass strategies. The per-operation half lives in
@@ -60,8 +60,8 @@ private:
   Isa Prev;
 };
 
-/// Solves \p Spec with the Reference engine and with both packed
-/// engines under the active tier, asserting bit-identity throughout.
+/// Solves \p Spec with the Reference engine and with the packed engine
+/// under the active tier, asserting bit-identity throughout.
 void expectTiersAgree(const std::string &Source, const ProblemSpec &Spec,
                       SolverOptions Opts) {
   Program P = parseOrDie(Source);
@@ -72,9 +72,9 @@ void expectTiersAgree(const std::string &Source, const ProblemSpec &Spec,
 
   Opts.Eng = SolverOptions::Engine::Reference;
   SolveResult Ref = solveDataFlow(FW, Opts);
-  SolverOptions Simd = Opts;
-  Simd.Eng = SolverOptions::Engine::PackedSimd;
-  SolveResult Vec = solveDataFlow(FW, Simd);
+  SolverOptions Packed = Opts;
+  Packed.Eng = SolverOptions::Engine::PackedKernel;
+  SolveResult Vec = solveDataFlow(FW, Packed);
 
   const char *Tier = simd::isaName(simd::activeIsa());
   EXPECT_EQ(Vec.In, Ref.In) << Spec.Name << " tier=" << Tier;
@@ -126,23 +126,29 @@ TEST(SimdOracleTest, RandomizedCorpusIterateToFixpointEveryTier) {
 }
 
 TEST(SimdOracleTest, SimdSingleSolveMatchesPackedKernel) {
-  // A lone PackedSimd solve is the packed kernel under the active tier;
-  // results (counters included) must match the PackedKernel engine.
+  // A packed solve under every SIMD tier must match the packed kernel
+  // on the portable scalar rows, counters included.
   std::string Source = ardfbench::makeSyntheticLoop(25, 4, 30, 4242, 800);
   Program P = parseOrDie(Source);
   LoopFlowGraph Graph(*P.getFirstLoop());
+  SolverOptions Packed;
+  Packed.Eng = SolverOptions::Engine::PackedKernel;
   for (const ProblemSpec &Spec : allSpecs) {
     FrameworkInstance FW(Graph, P, Spec);
-    SolverOptions Packed;
-    Packed.Eng = SolverOptions::Engine::PackedKernel;
-    SolverOptions Simd;
-    Simd.Eng = SolverOptions::Engine::PackedSimd;
-    SolveResult A = solveDataFlow(FW, Packed);
-    SolveResult B = solveDataFlow(FW, Simd);
-    EXPECT_EQ(B.In, A.In) << Spec.Name;
-    EXPECT_EQ(B.Out, A.Out) << Spec.Name;
-    EXPECT_EQ(B.NodeVisits, A.NodeVisits) << Spec.Name;
-    EXPECT_EQ(B.MeetOps, A.MeetOps) << Spec.Name;
-    EXPECT_EQ(B.ApplyOps, A.ApplyOps) << Spec.Name;
+    SolveResult A;
+    {
+      IsaScope Scope(Isa::Scalar);
+      A = solveDataFlow(FW, Packed);
+    }
+    for (Isa Tier : supportedTiers()) {
+      IsaScope Scope(Tier);
+      SolveResult B = solveDataFlow(FW, Packed);
+      const char *Name = simd::isaName(Tier);
+      EXPECT_EQ(B.In, A.In) << Spec.Name << " tier=" << Name;
+      EXPECT_EQ(B.Out, A.Out) << Spec.Name << " tier=" << Name;
+      EXPECT_EQ(B.NodeVisits, A.NodeVisits) << Spec.Name;
+      EXPECT_EQ(B.MeetOps, A.MeetOps) << Spec.Name;
+      EXPECT_EQ(B.ApplyOps, A.ApplyOps) << Spec.Name;
+    }
   }
 }

@@ -277,3 +277,93 @@ TEST(DriverTest, EmptyProgram) {
   EXPECT_TRUE(Driver.loops().empty());
   EXPECT_EQ(Driver.totalNodeVisits(), 0u);
 }
+
+TEST(DriverTest, LoopsInsideConditionals) {
+  Program P = parseOrDie(R"(
+    x = 1;
+    if (x > 0) {
+      do i = 1, 10 { A[i] = A[i-1]; }
+    } else {
+      do k = 1, 10 { B[k] = 0; }
+    }
+  )");
+  ProgramAnalysisDriver Driver(P);
+  Driver.run();
+  ASSERT_EQ(Driver.loops().size(), 2u);
+  for (const AnalyzedLoop &R : Driver.loops())
+    EXPECT_NE(R.Session, nullptr);
+}
+
+TEST(DriverTest, TotalCostIsSumOfLoops) {
+  Program P = parseOrDie(R"(
+    do a = 1, 10 { A[a] = 0; }
+    do b = 1, 10 { B[b] = 0; C[b] = 1; }
+  )");
+  DriverOptions Opts;
+  Opts.Problems = {ProblemSpec::mustReachingDefs()};
+  ProgramAnalysisDriver Driver(P, Opts);
+  Driver.run();
+  ASSERT_EQ(Driver.loops().size(), 2u);
+  unsigned Sum = 0;
+  for (const AnalyzedLoop &R : Driver.loops()) {
+    // 3N per loop for the one must-problem.
+    EXPECT_EQ(R.NodeVisits, 3 * R.Session->graph().getNumNodes());
+    Sum += R.NodeVisits;
+  }
+  EXPECT_EQ(Driver.totalNodeVisits(), Sum);
+}
+
+TEST(DriverTest, ResultPerLoop) {
+  Program P = parseOrDie(R"(
+    do j = 1, 10 {
+      do i = 1, 10 { A[i+1] = A[i]; }
+      B[j+2] = B[j];
+    }
+  )");
+  ProgramAnalysisDriver Driver(P);
+  Driver.run();
+  const DoLoopStmt *Outer = P.getFirstLoop();
+  const auto *Inner = cast<DoLoopStmt>(Outer->getBody()[0].get());
+  LoopAnalysisSession *InnerS = Driver.sessionFor(*Inner);
+  LoopAnalysisSession *OuterS = Driver.sessionFor(*Outer);
+  ASSERT_NE(InnerS, nullptr);
+  ASSERT_NE(OuterS, nullptr);
+
+  // The inner session tracks A, the outer one tracks B (and sees the
+  // inner loop only as a summary node).
+  ProblemSpec Spec = ProblemSpec::mustReachingDefs();
+  EXPECT_EQ(InnerS->instance(Spec).getTracked(0).arrayName(), "A");
+  const FrameworkInstance &OuterF = OuterS->instance(Spec);
+  bool OuterTracksB = false;
+  for (unsigned I = 0; I != OuterF.getNumTracked(); ++I)
+    OuterTracksB |= OuterF.getTracked(I).arrayName() == "B";
+  EXPECT_TRUE(OuterTracksB);
+}
+
+TEST(DriverTest, ReusePairsTagged) {
+  Program P = parseOrDie(R"(
+    do j = 1, 10 {
+      do i = 1, 10 { A[i+1] = A[i]; }
+      B[j+2] = B[j];
+    }
+  )");
+  ProgramAnalysisDriver Driver(P);
+  Driver.run();
+  const DoLoopStmt *Outer = P.getFirstLoop();
+  const auto *Inner = cast<DoLoopStmt>(Outer->getBody()[0].get());
+  LoopAnalysisSession *InnerS = Driver.sessionFor(*Inner);
+  LoopAnalysisSession *OuterS = Driver.sessionFor(*Outer);
+  ASSERT_NE(InnerS, nullptr);
+  ASSERT_NE(OuterS, nullptr);
+
+  // A-reuse in the inner loop, B-reuse in the outer loop.
+  ProblemSpec Spec = ProblemSpec::mustReachingDefs();
+  auto ReusesArray = [&](LoopAnalysisSession &S, const char *Array) {
+    for (const ReusePair &R : S.reusePairs(Spec, RefSelector::Uses))
+      if (S.universe().occurrence(R.SinkId).arrayName() == Array)
+        return true;
+    return false;
+  };
+  EXPECT_TRUE(ReusesArray(*InnerS, "A"));
+  EXPECT_TRUE(ReusesArray(*OuterS, "B"));
+}

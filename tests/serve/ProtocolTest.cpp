@@ -106,6 +106,17 @@ TEST(ProtocolTest, FieldTypesAreValidated) {
   EXPECT_FALSE(P.Ok);
   EXPECT_NE(P.Error.find("unknown engine 'smid'"), std::string::npos)
       << P.Error;
+  // The retired summary and SIMD engines are unknown names like any
+  // typo: the server answers bad-request, listing the two engines.
+  for (const char *Name : {"summary", "simd"}) {
+    ParsedRequest Q = parseRequest(
+        std::string("{\"method\":\"lint\",\"source\":\"\",\"engine\":\"") +
+        Name + "\"}");
+    EXPECT_FALSE(Q.Ok) << Name;
+    EXPECT_NE(Q.Error.find("(expected one of: reference, packed)"),
+              std::string::npos)
+        << Q.Error;
+  }
 }
 
 TEST(ProtocolTest, ResponseShapes) {

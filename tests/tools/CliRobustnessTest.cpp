@@ -87,7 +87,7 @@ TEST(CliRobustnessTest, UsageErrorsExitTwo) {
 
 TEST(CliRobustnessTest, EngineNamesAreValidated) {
   // Every spelled engine is accepted by both tools...
-  for (const char *Name : {"reference", "packed", "simd", "summary"}) {
+  for (const char *Name : {"reference", "packed"}) {
     EXPECT_EQ(run(Lint + " --quiet --engine=" + Name + " " + Example), 0)
         << Name;
     EXPECT_EQ(run(Stats + " --engine=" + Name + " " + Example), 0) << Name;
@@ -97,11 +97,76 @@ TEST(CliRobustnessTest, EngineNamesAreValidated) {
   std::string Out;
   EXPECT_EQ(runCapture(Lint + " --engine=smid " + Example, Out), 2);
   EXPECT_NE(Out.find("unknown engine 'smid'"), std::string::npos) << Out;
-  EXPECT_NE(Out.find("reference, packed, simd, summary"), std::string::npos)
+  EXPECT_NE(Out.find("(expected one of: reference, packed)"),
+            std::string::npos)
       << Out;
   EXPECT_EQ(runCapture(Stats + " --engine=Packed " + Example, Out), 2);
   EXPECT_NE(Out.find("unknown engine 'Packed'"), std::string::npos) << Out;
   EXPECT_EQ(run(Stats + " --engine= " + Example), 2);
+  // ardf-explain's space-separated form names them too.
+  EXPECT_EQ(runCapture(Explain + " " + Fig4 +
+                           " --problem may-reach --loop 1 --engine smid",
+                       Out),
+            2);
+  EXPECT_NE(Out.find("(expected one of: reference, packed)"),
+            std::string::npos)
+      << Out;
+  // The retired summary and SIMD engines are unknown names everywhere.
+  for (const char *Name : {"simd", "summary"}) {
+    for (const std::string &Tool : {Lint, Stats}) {
+      EXPECT_EQ(runCapture(Tool + " --engine=" + Name + " " + Example, Out),
+                2)
+          << Name;
+      EXPECT_NE(Out.find("(expected one of: reference, packed)"),
+                std::string::npos)
+          << Out;
+    }
+    EXPECT_EQ(run(Serve + " --engine=" + Name + " </dev/null"), 2) << Name;
+    EXPECT_EQ(runCapture("printf '%s\\n' '{\"method\":\"lint\",\"source\":"
+                         "\"\",\"engine\":\"" + std::string(Name) +
+                             "\"}' | " + Serve,
+                         Out),
+              0);
+    EXPECT_NE(Out.find("bad-request"), std::string::npos) << Out;
+  }
+}
+
+TEST(CliRobustnessTest, NumericOptionsAreStrict) {
+  // A numeric option value is the whole text or a usage error: no
+  // prefix reads ("2s" as 2), no garbage read as 0 (which would lift a
+  // cap or a deadline), no signs, no overflow.
+  const std::string Fig4Quiet = " --quiet " + Fig4;
+  for (const char *Args :
+       {" --max-input-bytes=ten", " --max-input-bytes=",
+        " --max-input-bytes=18446744073709551616", " --budget-visits=5x",
+        " --budget-deadline-ms=2s",
+        " --budget-deadline-ms=18446744073709551615", " --budget-cells=-1",
+        " --budget-slack=1.5x", " --budget-slack=inf"})
+    EXPECT_EQ(run(Lint + Args + Fig4Quiet), 2) << Args;
+  for (const char *Args :
+       {" --threads=4x", " --threads=+2", " --max-input-bytes=ten",
+        " --budget-visits=7x"})
+    EXPECT_EQ(run(Stats + Args + " " + Fig4), 2) << Args;
+  for (const char *Args :
+       {" --workers=4x", " --queue-depth=3x", " --max-request-bytes=1MiB",
+        " --max-request-bytes=abc", " --deadline-ms=2s", " --deadline-ms=abc",
+        " --deadline-ms=18446744073709551615",
+        " --grace-ms=-5", " --tenant-quota=4294967297",
+        " --budget-visits=1e3", " --budget-slack=abc"})
+    EXPECT_EQ(run(Serve + Args + " </dev/null"), 2) << Args;
+  const std::string Query =
+      " " + Fig4 + " --problem may-reach --cell 'X[i, j]'";
+  for (const char *Args :
+       {" --loop=1x", " --loop 1x", " --loop=+1", " --loop 1 --node=abc",
+        " --loop 1 --node 2x", " --loop 1 --node -1",
+        " --loop 1 --max-input-bytes=ten"})
+    EXPECT_EQ(run(Explain + Query + Args), 2) << Args;
+  // The well-formed spellings still work.
+  EXPECT_EQ(run(Lint + " --max-input-bytes=100000 --budget-slack=1.5" +
+                Fig4Quiet),
+            0);
+  EXPECT_EQ(run(Explain + Query + " --loop 1 --node 2"), 0);
+  EXPECT_EQ(run(Explain + Query + " --loop=1 --node=2"), 0);
 }
 
 TEST(CliRobustnessTest, ListChecksPrintsTheCatalog) {
@@ -299,7 +364,7 @@ TEST(CliRobustnessTest, LintExplainFlagWorksAndFiltersDegrade) {
   // degrades the explain pass without crashing.
   EXPECT_EQ(run(Lint + " --quiet --explain " + Fig4), 0);
   EXPECT_EQ(run(Lint + " --quiet --explain=loop-carried-reuse " + Fig4), 0);
-  EXPECT_EQ(run(Lint + " --quiet --explain --engine=simd " + Fig4), 0);
+  EXPECT_EQ(run(Lint + " --quiet --explain --engine=packed " + Fig4), 0);
   std::string Out;
   EXPECT_EQ(runCapture(Lint + " --explain " + Fig4, Out), 0);
   EXPECT_NE(Out.find("because:"), std::string::npos) << Out;

@@ -29,9 +29,9 @@
 #include "frontend/Parser.h"
 #include "support/BuildInfo.h"
 #include "support/FileIO.h"
+#include "support/ParseNumber.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -114,15 +114,9 @@ bool resolveProblem(const std::string &Name, ProblemSpec &Out) {
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
-  auto Value = [](const std::string &Arg, const char *Name,
-                  std::string &Out) {
-    std::string Prefix = std::string(Name) + "=";
-    if (Arg.rfind(Prefix, 0) != 0)
-      return false;
-    Out = Arg.substr(Prefix.size());
-    return true;
-  };
-  std::string V;
+  // Valued options accept both --name=V and --name V.
+  const std::string Valued[] = {"--problem", "--cell", "--loop",
+                                "--node", "--engine", "--max-input-bytes"};
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--help" || Arg == "-h") {
@@ -131,55 +125,54 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
     } else if (Arg == "--version") {
       Err = "version";
       return false;
-    } else if (Value(Arg, "--problem", Opts.Problem) ||
-               Value(Arg, "--cell", Opts.Cell)) {
-      // stored by Value
-    } else if (Value(Arg, "--loop", V)) {
-      Opts.LoopIndex = static_cast<unsigned>(std::strtoul(V.c_str(),
-                                                          nullptr, 10));
-    } else if (Value(Arg, "--node", V)) {
-      Opts.Node = std::atoi(V.c_str());
-      if (Opts.Node < 0) {
-        Err = "--node needs a non-negative integer";
-        return false;
-      }
     } else if (Arg == "--out") {
       Opts.OutSide = true;
+      continue;
     } else if (Arg == "--json") {
       Opts.Json = true;
-    } else if (Value(Arg, "--engine", V)) {
+      continue;
+    }
+    std::string Name = Arg.substr(0, Arg.find('='));
+    if (std::find(std::begin(Valued), std::end(Valued), Name) ==
+        std::end(Valued)) {
+      if (!Arg.empty() && Arg[0] == '-') {
+        Err = "unknown option '" + Arg + "'";
+        return false;
+      }
+      if (!Opts.File.empty()) {
+        Err = "ardf-explain takes exactly one input file";
+        return false;
+      }
+      Opts.File = std::move(Arg);
+      continue;
+    }
+    if (Name == Arg) {
+      // Space-separated form (--cell 'A[i-1]'): rejoin it as --name=V.
+      if (I + 1 == Argc) {
+        Err = Name + " needs a value";
+        return false;
+      }
+      Arg.append("=").append(Argv[++I]);
+    }
+    std::string V = Arg.substr(Name.size() + 1);
+    if (Name == "--problem") {
+      Opts.Problem = V;
+    } else if (Name == "--cell") {
+      Opts.Cell = V;
+    } else if (Name == "--loop") {
+      if (!parseUnsignedOption(Arg, "--loop=", Opts.LoopIndex, Err))
+        return false;
+    } else if (Name == "--node") {
+      if (!parseUnsignedOption(Arg, "--node=", Opts.Node, Err))
+        return false;
+    } else if (Name == "--engine") {
       if (!parseEngineName(V, Opts.Engine)) {
         Err = "unknown engine '" + V + "' (expected one of: " +
               engineNameList() + ")";
         return false;
       }
-    } else if (Value(Arg, "--max-input-bytes", V)) {
-      Opts.MaxInputBytes = std::strtoull(V.c_str(), nullptr, 10);
-    } else if ((Arg == "--problem" || Arg == "--cell" || Arg == "--loop" ||
-                Arg == "--node" || Arg == "--engine") &&
-               I + 1 < Argc) {
-      // Space-separated form: --cell 'A[i-1]'.
-      std::string Next = Argv[++I];
-      if (Arg == "--problem")
-        Opts.Problem = Next;
-      else if (Arg == "--cell")
-        Opts.Cell = Next;
-      else if (Arg == "--loop")
-        Opts.LoopIndex =
-            static_cast<unsigned>(std::strtoul(Next.c_str(), nullptr, 10));
-      else if (Arg == "--node")
-        Opts.Node = std::atoi(Next.c_str());
-      else if (!parseEngineName(Next, Opts.Engine)) {
-        Err = "unknown engine '" + Next + "'";
-        return false;
-      }
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      Err = "unknown option '" + Arg + "'";
-      return false;
-    } else if (Opts.File.empty()) {
-      Opts.File = std::move(Arg);
-    } else {
-      Err = "ardf-explain takes exactly one input file";
+    } else if (!parseUnsignedOption(Arg, "--max-input-bytes=",
+                                    Opts.MaxInputBytes, Err)) {
       return false;
     }
   }

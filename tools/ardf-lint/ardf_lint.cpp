@@ -22,10 +22,10 @@
 #include "lint/Render.h"
 #include "support/BuildInfo.h"
 #include "support/FileIO.h"
+#include "support/ParseNumber.h"
 #include "telemetry/Export.h"
 #include "telemetry/Telemetry.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -72,10 +72,9 @@ int usage(std::ostream &OS, int Code) {
         "options:\n"
         "  --format=text|json|sarif   output format (default: text)\n"
         "  --engine=NAME              primary solver engine (default:\n"
-        "                             reference; simd = packed kernel\n"
-        "                             with runtime-dispatched SIMD rows,\n"
-        "                             summary = memoized transfer\n"
-        "                             summaries). NAME is one of:\n"
+        "                             reference; packed = packed kernel\n"
+        "                             with runtime-dispatched SIMD\n"
+        "                             rows). NAME is one of:\n"
         "                             "
      << engineNameList()
      << "\n"
@@ -111,6 +110,7 @@ int usage(std::ostream &OS, int Code) {
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
+  SolverBudget &Budget = Opts.Lint.Budget;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--help" || Arg == "-h") {
@@ -148,37 +148,30 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
         return false;
       }
     } else if (Arg.rfind("--budget-visits=", 0) == 0) {
-      Opts.Lint.Budget.MaxNodeVisits =
-          std::strtoull(Arg.c_str() + strlen("--budget-visits="), nullptr, 10);
-      if (Opts.Lint.Budget.MaxNodeVisits == 0) {
-        Err = "--budget-visits needs a positive integer";
+      if (!parseUnsignedOption(Arg, "--budget-visits=", Budget.MaxNodeVisits,
+                               Err, 1))
         return false;
-      }
     } else if (Arg.rfind("--budget-slack=", 0) == 0) {
-      Opts.Lint.Budget.VisitSlack =
-          std::strtod(Arg.c_str() + strlen("--budget-slack="), nullptr);
-      if (Opts.Lint.Budget.VisitSlack <= 0.0) {
+      if (!parseDecimal(Arg.substr(strlen("--budget-slack=")),
+                        Budget.VisitSlack) ||
+          Budget.VisitSlack <= 0.0) {
         Err = "--budget-slack needs a positive factor";
         return false;
       }
     } else if (Arg.rfind("--budget-deadline-ms=", 0) == 0) {
-      uint64_t Ms = std::strtoull(
-          Arg.c_str() + strlen("--budget-deadline-ms="), nullptr, 10);
-      if (Ms == 0) {
-        Err = "--budget-deadline-ms needs a positive integer";
+      uint64_t Ms = 0;
+      if (!parseUnsignedOption(Arg, "--budget-deadline-ms=", Ms, Err, 1,
+                               UINT64_MAX / 1000000))
         return false;
-      }
-      Opts.Lint.Budget.DeadlineNs = Ms * 1000000ull;
+      Budget.DeadlineNs = Ms * 1000000ull;
     } else if (Arg.rfind("--budget-cells=", 0) == 0) {
-      Opts.Lint.Budget.MaxMatrixCells =
-          std::strtoull(Arg.c_str() + strlen("--budget-cells="), nullptr, 10);
-      if (Opts.Lint.Budget.MaxMatrixCells == 0) {
-        Err = "--budget-cells needs a positive integer";
+      if (!parseUnsignedOption(Arg, "--budget-cells=", Budget.MaxMatrixCells,
+                               Err, 1))
         return false;
-      }
     } else if (Arg.rfind("--max-input-bytes=", 0) == 0) {
-      Opts.MaxInputBytes = std::strtoull(
-          Arg.c_str() + strlen("--max-input-bytes="), nullptr, 10);
+      if (!parseUnsignedOption(Arg, "--max-input-bytes=", Opts.MaxInputBytes,
+                               Err))
+        return false;
     } else if (Arg == "--quiet") {
       Opts.Quiet = true;
     } else if (Arg.rfind("--trace-out=", 0) == 0) {

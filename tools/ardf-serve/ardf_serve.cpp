@@ -24,11 +24,11 @@
 
 #include "serve/Server.h"
 #include "support/BuildInfo.h"
+#include "support/ParseNumber.h"
 #include "support/Socket.h"
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
@@ -96,6 +96,9 @@ int usage(std::ostream &OS, int Code) {
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
+  // The server scales deadline plus grace to nanoseconds; keep the sum
+  // from overflowing.
+  const uint64_t MaxMs = UINT64_MAX / 2000000;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--help" || Arg == "-h") {
@@ -117,35 +120,29 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
         return false;
       }
     } else if (Arg.rfind("--workers=", 0) == 0) {
-      int N = std::atoi(Arg.c_str() + strlen("--workers="));
-      if (N < 1) {
-        Err = "--workers needs a positive integer";
+      if (!parseUnsignedOption(Arg, "--workers=", Opts.Serve.Workers, Err, 1))
         return false;
-      }
-      Opts.Serve.Workers = static_cast<unsigned>(N);
     } else if (Arg.rfind("--queue-depth=", 0) == 0) {
-      int N = std::atoi(Arg.c_str() + strlen("--queue-depth="));
-      if (N < 1) {
-        Err = "--queue-depth needs a positive integer";
+      if (!parseUnsignedOption(Arg, "--queue-depth=", Opts.Serve.QueueDepth,
+                               Err, 1))
         return false;
-      }
-      Opts.Serve.QueueDepth = static_cast<unsigned>(N);
     } else if (Arg.rfind("--max-request-bytes=", 0) == 0) {
-      Opts.Serve.MaxRequestBytes = std::strtoull(
-          Arg.c_str() + strlen("--max-request-bytes="), nullptr, 10);
-    } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      Opts.Serve.RequestDeadlineMs =
-          std::strtoull(Arg.c_str() + strlen("--deadline-ms="), nullptr, 10);
-    } else if (Arg.rfind("--grace-ms=", 0) == 0) {
-      Opts.Serve.WatchdogGraceMs =
-          std::strtoull(Arg.c_str() + strlen("--grace-ms="), nullptr, 10);
-    } else if (Arg.rfind("--tenant-quota=", 0) == 0) {
-      int N = std::atoi(Arg.c_str() + strlen("--tenant-quota="));
-      if (N < 1) {
-        Err = "--tenant-quota needs a positive integer";
+      if (!parseUnsignedOption(Arg, "--max-request-bytes=",
+                               Opts.Serve.MaxRequestBytes, Err))
         return false;
-      }
-      Opts.Serve.TenantQuota = static_cast<unsigned>(N);
+    } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
+      if (!parseUnsignedOption(Arg, "--deadline-ms=",
+                               Opts.Serve.RequestDeadlineMs, Err, 0,
+                               MaxMs))
+        return false;
+    } else if (Arg.rfind("--grace-ms=", 0) == 0) {
+      if (!parseUnsignedOption(Arg, "--grace-ms=",
+                               Opts.Serve.WatchdogGraceMs, Err, 0, MaxMs))
+        return false;
+    } else if (Arg.rfind("--tenant-quota=", 0) == 0) {
+      if (!parseUnsignedOption(Arg, "--tenant-quota=",
+                               Opts.Serve.TenantQuota, Err, 1))
+        return false;
     } else if (Arg.rfind("--engine=", 0) == 0) {
       std::string Name = Arg.substr(strlen("--engine="));
       if (!parseEngineName(Name, Opts.Serve.Engine)) {
@@ -154,14 +151,19 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
         return false;
       }
     } else if (Arg.rfind("--budget-visits=", 0) == 0) {
-      Opts.Serve.Budget.MaxNodeVisits =
-          std::strtoull(Arg.c_str() + strlen("--budget-visits="), nullptr, 10);
+      if (!parseUnsignedOption(Arg, "--budget-visits=",
+                               Opts.Serve.Budget.MaxNodeVisits, Err))
+        return false;
     } else if (Arg.rfind("--budget-slack=", 0) == 0) {
-      Opts.Serve.Budget.VisitSlack =
-          std::strtod(Arg.c_str() + strlen("--budget-slack="), nullptr);
+      if (!parseDecimal(Arg.substr(strlen("--budget-slack=")),
+                        Opts.Serve.Budget.VisitSlack)) {
+        Err = "--budget-slack needs a non-negative factor";
+        return false;
+      }
     } else if (Arg.rfind("--budget-cells=", 0) == 0) {
-      Opts.Serve.Budget.MaxMatrixCells =
-          std::strtoull(Arg.c_str() + strlen("--budget-cells="), nullptr, 10);
+      if (!parseUnsignedOption(Arg, "--budget-cells=",
+                               Opts.Serve.Budget.MaxMatrixCells, Err))
+        return false;
     } else {
       Err = "unknown option '" + Arg + "'";
       return false;

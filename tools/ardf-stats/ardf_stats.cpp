@@ -25,10 +25,10 @@
 #include "frontend/Parser.h"
 #include "support/BuildInfo.h"
 #include "support/FileIO.h"
+#include "support/ParseNumber.h"
 #include "telemetry/Export.h"
 #include "telemetry/Telemetry.h"
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -76,10 +76,8 @@ int usage(std::ostream &OS, int Code) {
         "  --trace-out=FILE           write Chrome trace-event JSON\n"
         "                             (load in Perfetto / about:tracing)\n"
         "  --engine=NAME              solver engine (default: reference;\n"
-        "                             simd = packed kernel with runtime-\n"
-        "                             dispatched SIMD rows + interleaved\n"
-        "                             multi-problem solves, summary =\n"
-        "                             memoized transfer summaries).\n"
+        "                             packed = packed kernel with\n"
+        "                             runtime-dispatched SIMD rows).\n"
         "                             NAME is one of:\n"
         "                             "
      << engineNameList()
@@ -102,6 +100,7 @@ int usage(std::ostream &OS, int Code) {
 }
 
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
+  SolverBudget &Budget = Opts.Driver.Solver.Budget;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--help" || Arg == "-h") {
@@ -142,48 +141,37 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts, std::string &Err) {
         return false;
       }
     } else if (Arg.rfind("--threads=", 0) == 0) {
-      int N = std::atoi(Arg.c_str() + strlen("--threads="));
-      if (N < 1) {
-        Err = "--threads needs a positive integer";
+      if (!parseUnsignedOption(Arg, "--threads=", Opts.Driver.Threads, Err, 1))
         return false;
-      }
-      Opts.Driver.Threads = static_cast<unsigned>(N);
     } else if (Arg == "--no-nested") {
       Opts.Driver.IncludeNested = false;
     } else if (Arg == "--fixpoint") {
       Opts.Driver.Solver.Strat = SolverOptions::Strategy::IterateToFixpoint;
     } else if (Arg.rfind("--budget-visits=", 0) == 0) {
-      Opts.Driver.Solver.Budget.MaxNodeVisits =
-          std::strtoull(Arg.c_str() + strlen("--budget-visits="), nullptr, 10);
-      if (Opts.Driver.Solver.Budget.MaxNodeVisits == 0) {
-        Err = "--budget-visits needs a positive integer";
+      if (!parseUnsignedOption(Arg, "--budget-visits=", Budget.MaxNodeVisits,
+                               Err, 1))
         return false;
-      }
     } else if (Arg.rfind("--budget-slack=", 0) == 0) {
-      Opts.Driver.Solver.Budget.VisitSlack =
-          std::strtod(Arg.c_str() + strlen("--budget-slack="), nullptr);
-      if (Opts.Driver.Solver.Budget.VisitSlack <= 0.0) {
+      if (!parseDecimal(Arg.substr(strlen("--budget-slack=")),
+                        Budget.VisitSlack) ||
+          Budget.VisitSlack <= 0.0) {
         Err = "--budget-slack needs a positive factor";
         return false;
       }
     } else if (Arg.rfind("--budget-deadline-ms=", 0) == 0) {
-      uint64_t Ms = std::strtoull(
-          Arg.c_str() + strlen("--budget-deadline-ms="), nullptr, 10);
-      if (Ms == 0) {
-        Err = "--budget-deadline-ms needs a positive integer";
+      uint64_t Ms = 0;
+      if (!parseUnsignedOption(Arg, "--budget-deadline-ms=", Ms, Err, 1,
+                               UINT64_MAX / 1000000))
         return false;
-      }
-      Opts.Driver.Solver.Budget.DeadlineNs = Ms * 1000000ull;
+      Budget.DeadlineNs = Ms * 1000000ull;
     } else if (Arg.rfind("--budget-cells=", 0) == 0) {
-      Opts.Driver.Solver.Budget.MaxMatrixCells = std::strtoull(
-          Arg.c_str() + strlen("--budget-cells="), nullptr, 10);
-      if (Opts.Driver.Solver.Budget.MaxMatrixCells == 0) {
-        Err = "--budget-cells needs a positive integer";
+      if (!parseUnsignedOption(Arg, "--budget-cells=", Budget.MaxMatrixCells,
+                               Err, 1))
         return false;
-      }
     } else if (Arg.rfind("--max-input-bytes=", 0) == 0) {
-      Opts.MaxInputBytes = std::strtoull(
-          Arg.c_str() + strlen("--max-input-bytes="), nullptr, 10);
+      if (!parseUnsignedOption(Arg, "--max-input-bytes=", Opts.MaxInputBytes,
+                               Err))
+        return false;
     } else if (!Arg.empty() && Arg[0] == '-') {
       Err = "unknown option '" + Arg + "'";
       return false;
