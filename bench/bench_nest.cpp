@@ -186,7 +186,7 @@ void BM_NestPerLevelSolves(benchmark::State &State) {
 BENCHMARK(BM_NestPerLevelSolves)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_NestDriverRun(benchmark::State &State) {
-  // End-to-end: what ardf-lint/ardf-stats pay per nest — discovery,
+  // End-to-end: what ardf lint/ardf stats pay per nest — discovery,
   // reduction, and a session per loop, via the driver.
   Program P = parseOrDie(nestSourceFor(State.range(0), 8));
   for (auto _ : State) {

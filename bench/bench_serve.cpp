@@ -68,7 +68,7 @@ double secondsFor(AnalysisServer &S, const std::string &Line) {
 }
 
 void printServeTable() {
-  std::printf("== ardf-serve: cold vs warm vs memo, per engine ==\n");
+  std::printf("== ardf serve: cold vs warm vs memo, per engine ==\n");
   std::printf("%10s | %12s %12s %12s\n", "engine", "cold", "warm-edit",
               "memo-hit");
   for (const char *Engine : {"reference", "packed"}) {

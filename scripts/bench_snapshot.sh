@@ -3,7 +3,7 @@
 # and records JSON snapshots at the repo root (BENCH_batch.json,
 # BENCH_scaling.json, BENCH_kernel.json, BENCH_lint.json,
 # BENCH_nest.json, BENCH_serve.json), plus a
-# telemetry snapshot (BENCH_stats.json: ardf-stats over the bundled
+# telemetry snapshot (BENCH_stats.json: `ardf stats` over the bundled
 # example programs -- deterministic counters, derived rates, and the
 # log2-bucketed latency histogram summaries with p50/p95/p99).
 #
@@ -48,7 +48,7 @@ fi
 
 cmake --build "$BUILD_DIR" --target \
   bench_batch bench_scaling bench_kernel bench_lint bench_nest \
-  bench_serve ardf-stats -j
+  bench_serve ardf-cli -j
 
 # With repetitions, forward only the aggregates into the snapshot.
 AGGREGATE_FLAGS=""
@@ -89,15 +89,15 @@ run_bench serve
 
 # Telemetry snapshot over the bundled examples: cache hit rates, the
 # 3N/2N cost-bound verdicts, and the latency histogram summaries
-# (ardf-stats always runs with timings enabled, so the "histograms"
+# (`ardf stats` always runs with timings enabled, so the "histograms"
 # section is populated) ride along with the timing runs.
-"$BUILD_DIR/tools/ardf-stats" \
+"$BUILD_DIR/tools/ardf" stats \
   --json="$REPO_ROOT/BENCH_stats.json" \
   "$REPO_ROOT"/examples/programs/*.arf
 
 if ! grep -q '"histograms"' "$REPO_ROOT/BENCH_stats.json"; then
   echo "bench_snapshot.sh: error: BENCH_stats.json has no histogram" \
-    "section; ardf-stats was built without the latency histograms." >&2
+    "section; ardf was built without the latency histograms." >&2
   exit 2
 fi
 

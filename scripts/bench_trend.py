@@ -15,7 +15,7 @@ Two modes:
       column.
 
   bench_trend.py --check BASELINE CURRENT
-      Compares the deterministic counters of two ardf-stats JSON files
+      Compares the deterministic counters of two `ardf stats` JSON files
       (the committed BENCH_stats.json vs. a fresh scrape over the same
       inputs). Timings are machine noise and are ignored; the counters
       below are pure functions of the source corpus and the analysis,
@@ -80,7 +80,7 @@ def benchmark_rows(name, doc):
 
 
 def stats_rows(doc):
-    """Yields (section, key, value) rows from an ardf-stats JSON doc."""
+    """Yields (section, key, value) rows from an `ardf stats` JSON doc."""
     for key in DETERMINISTIC_COUNTERS:
         if key in doc.get("counters", {}):
             yield "counter", key, doc["counters"][key]
@@ -192,7 +192,7 @@ def main(argv):
                     help="machine-readable tab-separated output")
     ap.add_argument("--check", nargs=2, metavar=("BASELINE", "CURRENT"),
                     help="compare deterministic counters of two "
-                         "ardf-stats JSON files; exit 1 on drift")
+                         "`ardf stats` JSON files; exit 1 on drift")
     args = ap.parse_args(argv)
 
     if args.check:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Builds the poisoned request corpus that scripts/serve_torture.sh
-replays against a live ardf-serve daemon.
+replays against a live `ardf serve` daemon.
 
 Writes two files:
 
@@ -140,7 +140,7 @@ def main():
         )
 
     # --- Interleave: every poison line is followed by a good lint that
-    # must render bit-identically to single-shot ardf-lint.
+    # must render bit-identically to single-shot `ardf lint`.
     poison_pool = list(poisons())
     pi = 0
     for _round in range(2):

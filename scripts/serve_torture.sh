@@ -1,12 +1,12 @@
 #!/usr/bin/env sh
-# Boots ardf-serve on a Unix socket with fault-injection drills armed,
+# Boots `ardf serve` on a Unix socket with fault-injection drills armed,
 # replays a poisoned request corpus through the daemon's own client
 # mode, and verifies the robustness envelope end to end:
 #
 #   - the daemon answers every line (poison included) and never dies:
 #     the replay ends with an orderly shutdown, exit code 0;
 #   - every good lint request renders bit-identically to a fresh
-#     single-shot `ardf-lint --format=json` run over the same file;
+#     single-shot `ardf lint --format=json` run over the same file;
 #   - each poison class (malformed JSON, JSON depth bomb, source parser
 #     bomb, oversized payload, unknown method, missing/mistyped fields)
 #     gets its designated error code, not a crash;
@@ -16,8 +16,7 @@
 #     which is saved as the run's artifact.
 #
 # Usage: scripts/serve_torture.sh [build-dir] [out-dir]
-#   build-dir  defaults to ./build (must contain tools/ardf-serve and
-#              tools/ardf-lint).
+#   build-dir  defaults to ./build (must contain tools/ardf).
 #   out-dir    defaults to ./serve-torture-out; receives requests.ndjson,
 #              responses.ndjson, daemon.log, and serve-latency.json.
 set -eu
@@ -25,16 +24,12 @@ set -eu
 REPO_ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 BUILD_DIR=${1:-"$REPO_ROOT/build"}
 OUT_DIR=${2:-"$REPO_ROOT/serve-torture-out"}
-SERVE="$BUILD_DIR/tools/ardf-serve"
-LINT="$BUILD_DIR/tools/ardf-lint"
+ARDF="$BUILD_DIR/tools/ardf"
 
-for Tool in "$SERVE" "$LINT"; do
-  if [ ! -x "$Tool" ]; then
-    echo "serve_torture.sh: error: missing $Tool (build ardf-serve and" \
-      "ardf-lint first)" >&2
-    exit 2
-  fi
-done
+if [ ! -x "$ARDF" ]; then
+  echo "serve_torture.sh: error: missing $ARDF (build ardf first)" >&2
+  exit 2
+fi
 
 mkdir -p "$OUT_DIR"
 # Unix socket paths are length-limited (~104 bytes); mktemp in /tmp
@@ -54,7 +49,7 @@ python3 "$REPO_ROOT/scripts/serve_corpus.py" \
 # strictly one line at a time (send, await response, repeat), so the
 # @1 ordinals deterministically burn on the two sacrificial requests.
 ARDF_FAILPOINTS='serve.request@1:throw,serve.session@1:breach' \
-  "$SERVE" --socket="$SOCK" --workers=2 --deadline-ms=5000 \
+  "$ARDF" serve --socket="$SOCK" --workers=2 --deadline-ms=5000 \
   --max-request-bytes=65536 --tenant-quota=64 2>"$OUT_DIR/daemon.log" &
 DAEMON_PID=$!
 
@@ -72,7 +67,7 @@ while [ ! -S "$SOCK" ]; do
   sleep 0.1
 done
 
-"$SERVE" --connect="$SOCK" \
+"$ARDF" serve --connect="$SOCK" \
   <"$OUT_DIR/requests.ndjson" >"$OUT_DIR/responses.ndjson"
 
 # Survival is the headline assertion: the shutdown request (last corpus
@@ -86,7 +81,7 @@ fi
 # Verify every response against the manifest and extract the latency
 # histogram artifact.
 python3 "$REPO_ROOT/scripts/serve_verify.py" \
-  --lint="$LINT" \
+  --ardf="$ARDF" \
   --expect="$OUT_DIR/expect.json" \
   --responses="$OUT_DIR/responses.ndjson" \
   --latency-out="$OUT_DIR/serve-latency.json"

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Verifies an ardf-serve torture replay (scripts/serve_torture.sh).
+"""Verifies an `ardf serve` torture replay (scripts/serve_torture.sh).
 
 Matches the daemon's response lines positionally against the manifest
 scripts/serve_corpus.py wrote (the replay client is strictly
@@ -8,7 +8,7 @@ sequential, so order is exact), then enforces the robustness contract:
   - exactly one response line per request line, every line valid JSON;
   - poison lines answer with their designated error code;
   - every good lint render is bit-identical to a fresh single-shot
-    `ardf-lint --format=json` run over the same file;
+    `ardf lint --format=json` run over the same file;
   - the starved-budget analyze completed degraded, not wedged;
   - the stats response carries the request-latency histogram (saved as
     the artifact) and counters proving errors, shedding, and at least
@@ -29,7 +29,7 @@ def fail(msg):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--lint", required=True)
+    ap.add_argument("--ardf", required=True)
     ap.add_argument("--expect", required=True)
     ap.add_argument("--responses", required=True)
     ap.add_argument("--latency-out", required=True)
@@ -48,12 +48,12 @@ def main():
     # oracle (exit 1 just means findings were reported).
     def single_shot(path):
         proc = subprocess.run(
-            [args.lint, "--format=json", path],
+            [args.ardf, "lint", "--format=json", path],
             capture_output=True,
             text=True,
         )
         if proc.returncode not in (0, 1):
-            fail(f"ardf-lint crashed on {path} (rc={proc.returncode})")
+            fail(f"ardf lint crashed on {path} (rc={proc.returncode})")
         return proc.stdout
 
     oracle = {}
@@ -84,7 +84,7 @@ def main():
                 oracle[path] = single_shot(path)
             if resp["result"]["render"] != oracle[path]:
                 fail(f"line {pos}: render for {path} is not bit-identical "
-                     f"to single-shot ardf-lint")
+                     f"to single-shot ardf lint")
             good += 1
         elif kind == "analyze-degraded":
             if resp.get("ok") is not True:

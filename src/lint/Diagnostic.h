@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The structured diagnostic record every ardf-lint check emits: a check
+/// The structured diagnostic record every ardf lint check emits: a check
 /// id, severity, source anchor, iteration-distance evidence, an optional
 /// fix hint, and related source positions. One record carries everything
 /// the three renderers (human text, JSON lines, SARIF 2.1.0) need, so a

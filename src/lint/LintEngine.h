@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The ardf-lint engine: validates a program (precondition diagnostics),
+/// The ardf lint engine: validates a program (precondition diagnostics),
 /// then runs every framework-backed check of lint/Checks.h over each
 /// normalized, analyzable loop. One LoopAnalysisSession per loop is
 /// shared by all checks, so the loop's flow graph, reference universe,
@@ -55,7 +55,7 @@ struct LintOptions {
   SolverBudget Budget;
 
   /// Attach derivation evidence to every explainable diagnostic
-  /// (ardf-lint --explain): each finding's backing problem is re-solved
+  /// (ardf lint --explain): each finding's backing problem is re-solved
   /// through the reference engine with provenance recording and the
   /// solution cell's derivation trail plus DAG are attached (see
   /// lint/Remarks.h). The configured engine's solves are unaffected.

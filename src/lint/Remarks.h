@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The remarks pass behind ardf-lint --explain: turns the provenance
+/// The remarks pass behind ardf lint --explain: turns the provenance
 /// recording of dataflow/Provenance.h into structured analysis remarks
 /// attached to each Diagnostic. Every framework-backed check stamps an
 /// explain key (the backing problem plus the occurrence pair) onto its

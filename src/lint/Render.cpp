@@ -3,6 +3,7 @@
 #include "lint/Render.h"
 
 #include "lint/Checks.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <ostream>
@@ -108,58 +109,20 @@ void ardf::renderText(std::ostream &OS, const std::vector<Diagnostic> &Diags,
 }
 
 //===----------------------------------------------------------------------===//
-// JSON helpers
-//===----------------------------------------------------------------------===//
-
-std::string ardf::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        static const char Hex[] = "0123456789abcdef";
-        Out += "\\u00";
-        Out += Hex[(C >> 4) & 0xF];
-        Out += Hex[C & 0xF];
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
 // JSON lines
 //===----------------------------------------------------------------------===//
 
 void ardf::renderJsonLines(std::ostream &OS,
                            const std::vector<Diagnostic> &Diags) {
   for (const Diagnostic &D : Diags) {
-    OS << "{\"check\":\"" << jsonEscape(D.CheckId) << "\",\"severity\":\""
-       << severityName(D.Severity) << "\",\"file\":\"" << jsonEscape(D.File)
-       << "\",\"line\":" << D.Loc.Line << ",\"col\":" << D.Loc.Col
-       << ",\"message\":\"" << jsonEscape(D.Message) << '"';
+    OS << "{\"check\":" << json::quoted(D.CheckId) << ",\"severity\":\""
+       << severityName(D.Severity) << "\",\"file\":" << json::quoted(D.File)
+       << ",\"line\":" << D.Loc.Line << ",\"col\":" << D.Loc.Col
+       << ",\"message\":" << json::quoted(D.Message);
     if (D.hasDistance())
       OS << ",\"distance\":" << D.Distance;
     if (D.hasNest()) {
-      OS << ",\"nest\":\"" << jsonEscape(D.NestPath) << '"';
+      OS << ",\"nest\":" << json::quoted(D.NestPath);
       if (!D.Levels.empty()) {
         // NoDistance levels render as -1 (distance unknown there).
         OS << ",\"levels\":[";
@@ -171,14 +134,14 @@ void ardf::renderJsonLines(std::ostream &OS,
     if (D.StmtId != 0)
       OS << ",\"stmtId\":" << D.StmtId;
     if (!D.FixHint.empty())
-      OS << ",\"fix\":\"" << jsonEscape(D.FixHint) << '"';
+      OS << ",\"fix\":" << json::quoted(D.FixHint);
     if (!D.Related.empty()) {
       OS << ",\"related\":[";
       for (size_t I = 0; I != D.Related.size(); ++I) {
         const RelatedLoc &R = D.Related[I];
         OS << (I ? "," : "") << "{\"line\":" << R.Loc.Line
-           << ",\"col\":" << R.Loc.Col << ",\"message\":\""
-           << jsonEscape(R.Message) << "\"}";
+           << ",\"col\":" << R.Loc.Col << ",\"message\":"
+           << json::quoted(R.Message) << "}";
       }
       OS << ']';
     }
@@ -187,8 +150,8 @@ void ardf::renderJsonLines(std::ostream &OS,
       for (size_t I = 0; I != D.Evidence.size(); ++I) {
         const RelatedLoc &E = D.Evidence[I];
         OS << (I ? "," : "") << "{\"line\":" << E.Loc.Line
-           << ",\"col\":" << E.Loc.Col << ",\"message\":\""
-           << jsonEscape(E.Message) << "\"}";
+           << ",\"col\":" << E.Loc.Col << ",\"message\":"
+           << json::quoted(E.Message) << "}";
       }
       OS << ']';
       // The derivation DAG is already one compact JSON object; embed it
@@ -272,9 +235,9 @@ void ardf::renderSarif(std::ostream &OS,
   size_t RuleIdx = 0;
   for (const std::string &Id : Fired) {
     OS << "            {\n"
-       << "              \"id\": \"" << jsonEscape(Id) << "\",\n"
-       << "              \"shortDescription\": { \"text\": \""
-       << jsonEscape(ruleDescription(Id)) << "\" }\n"
+       << "              \"id\": " << json::quoted(Id) << ",\n"
+       << "              \"shortDescription\": { \"text\": "
+       << json::quoted(ruleDescription(Id)) << " }\n"
        << "            }" << (++RuleIdx != Fired.size() ? "," : "") << '\n';
   }
   OS << "          ]\n"
@@ -284,15 +247,15 @@ void ardf::renderSarif(std::ostream &OS,
   for (size_t I = 0; I != Diags.size(); ++I) {
     const Diagnostic &D = Diags[I];
     OS << "        {\n"
-       << "          \"ruleId\": \"" << jsonEscape(D.CheckId) << "\",\n"
+       << "          \"ruleId\": " << json::quoted(D.CheckId) << ",\n"
        << "          \"level\": \"" << severityName(D.Severity) << "\",\n"
-       << "          \"message\": { \"text\": \"" << jsonEscape(D.Message)
-       << "\" },\n"
+       << "          \"message\": { \"text\": " << json::quoted(D.Message)
+       << " },\n"
        << "          \"locations\": [\n"
        << "            {\n"
        << "              \"physicalLocation\": {\n"
-       << "                \"artifactLocation\": { \"uri\": \""
-       << jsonEscape(D.File) << "\" },\n"
+       << "                \"artifactLocation\": { \"uri\": "
+       << json::quoted(D.File) << " },\n"
        << "                \"region\": { \"startLine\": " << D.Loc.Line
        << ", \"startColumn\": " << D.Loc.Col << " }\n"
        << "              }\n"
@@ -304,13 +267,13 @@ void ardf::renderSarif(std::ostream &OS,
         const RelatedLoc &Rel = D.Related[R];
         OS << "            {\n"
            << "              \"physicalLocation\": {\n"
-           << "                \"artifactLocation\": { \"uri\": \""
-           << jsonEscape(D.File) << "\" },\n"
+           << "                \"artifactLocation\": { \"uri\": "
+           << json::quoted(D.File) << " },\n"
            << "                \"region\": { \"startLine\": " << Rel.Loc.Line
            << ", \"startColumn\": " << Rel.Loc.Col << " }\n"
            << "              },\n"
-           << "              \"message\": { \"text\": \""
-           << jsonEscape(Rel.Message) << "\" }\n"
+           << "              \"message\": { \"text\": "
+           << json::quoted(Rel.Message) << " }\n"
            << "            }" << (R + 1 != D.Related.size() ? "," : "")
            << '\n';
       }
@@ -332,13 +295,13 @@ void ardf::renderSarif(std::ostream &OS,
         OS << "                    {\n"
            << "                      \"location\": {\n"
            << "                        \"physicalLocation\": {\n"
-           << "                          \"artifactLocation\": { \"uri\": \""
-           << jsonEscape(D.File) << "\" },\n"
+           << "                          \"artifactLocation\": { \"uri\": "
+           << json::quoted(D.File) << " },\n"
            << "                          \"region\": { \"startLine\": "
            << L.Line << ", \"startColumn\": " << L.Col << " }\n"
            << "                        },\n"
-           << "                        \"message\": { \"text\": \""
-           << jsonEscape(Step.Message) << "\" }\n"
+           << "                        \"message\": { \"text\": "
+           << json::quoted(Step.Message) << " }\n"
            << "                      }\n"
            << "                    }"
            << (E + 1 != D.Evidence.size() ? "," : "") << '\n';
@@ -360,8 +323,8 @@ void ardf::renderSarif(std::ostream &OS,
         First = false;
       }
       if (D.hasNest()) {
-        OS << (First ? "" : ", ") << "\"nestPath\": \""
-           << jsonEscape(D.NestPath) << '"';
+        OS << (First ? "" : ", ") << "\"nestPath\": "
+           << json::quoted(D.NestPath);
         if (!D.Levels.empty()) {
           OS << ", \"levelDistances\": [";
           for (size_t L = 0; L != D.Levels.size(); ++L)
@@ -375,8 +338,7 @@ void ardf::renderSarif(std::ostream &OS,
         First = false;
       }
       if (!D.FixHint.empty()) {
-        OS << (First ? "" : ", ") << "\"fix\": \"" << jsonEscape(D.FixHint)
-           << '"';
+        OS << (First ? "" : ", ") << "\"fix\": " << json::quoted(D.FixHint);
         First = false;
       }
       if (D.hasEvidence() && !D.DerivationJson.empty())

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The three output formats of ardf-lint over one shared Diagnostic
+/// The three output formats of ardf lint over one shared Diagnostic
 /// list:
 ///
 ///   * renderText: human-readable "file:line:col: severity: message"
@@ -65,11 +65,8 @@ void renderJsonLines(std::ostream &OS, const std::vector<Diagnostic> &Diags);
 /// format) with one run.
 void renderSarif(std::ostream &OS, const std::vector<Diagnostic> &Diags);
 
-/// Escapes \p S for embedding in a JSON string literal.
-std::string jsonEscape(const std::string &S);
-
 /// Static metadata of one lint check (rule), shared by the SARIF rule
-/// table and `ardf-lint --list-checks`.
+/// table and `ardf lint --list-checks`.
 struct CheckInfo {
   const char *Id;
 
@@ -80,7 +77,7 @@ struct CheckInfo {
   const char *Description;
 };
 
-/// Every check id ardf-lint can emit, in presentation order.
+/// Every check id ardf lint can emit, in presentation order.
 const std::vector<CheckInfo> &allChecks();
 
 } // namespace ardf

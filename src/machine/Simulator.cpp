@@ -38,10 +38,12 @@ int64_t MachineSimulator::arrayCell(const std::string &Array,
 void MachineSimulator::run(uint64_t MaxInstructions) {
   unsigned PC = 0;
   uint64_t Executed = 0;
+  // Only the divergence assert reads these; NDEBUG builds compile it out.
+  (void)Executed;
+  (void)MaxInstructions;
   const std::vector<MInstr> &Code = Prog->Code;
   while (PC < Code.size()) {
     assert(Executed++ < MaxInstructions && "machine program diverged");
-    (void)Executed;
     const MInstr &I = Code[PC];
     ++PC;
     switch (I.Op) {

@@ -1,4 +1,4 @@
-//===- serve/Protocol.cpp - ardf-serve wire protocol ----------------------===//
+//===- serve/Protocol.cpp - ardf serve wire protocol ----------------------===//
 
 #include "serve/Protocol.h"
 

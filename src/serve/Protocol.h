@@ -1,11 +1,11 @@
-//===- serve/Protocol.h - ardf-serve wire protocol -------------*- C++ -*-===//
+//===- serve/Protocol.h - ardf serve wire protocol -------------*- C++ -*-===//
 //
 // Part of ardf, a reproduction of Duesterwald, Gupta & Soffa, PLDI 1993.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The newline-delimited JSON protocol of ardf-serve, shared by the
+/// The newline-delimited JSON protocol of ardf serve, shared by the
 /// daemon, the bundled client, the fuzzer, and the tests. One request
 /// per line, one response line per request, over stdio or a Unix
 /// socket:
@@ -37,7 +37,7 @@
 #define ARDF_SERVE_PROTOCOL_H
 
 #include "dataflow/Framework.h"
-#include "serve/Json.h"
+#include "support/Json.h"
 
 #include <string>
 

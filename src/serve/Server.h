@@ -1,4 +1,4 @@
-//===- serve/Server.h - The ardf-serve request engine ----------*- C++ -*-===//
+//===- serve/Server.h - The ardf serve request engine ----------*- C++ -*-===//
 //
 // Part of ardf, a reproduction of Duesterwald, Gupta & Soffa, PLDI 1993.
 //
@@ -7,7 +7,7 @@
 /// \file
 /// The daemon's transport-agnostic core: a bounded request queue, a
 /// worker pool, the tenant cache, and a watchdog. Transports (stdio,
-/// Unix socket -- tools/ardf-serve) read lines and call submit(); the
+/// Unix socket -- `ardf serve`) read lines and call submit(); the
 /// server promises to invoke the response callback exactly once per
 /// submitted line, always with a well-formed protocol response.
 ///

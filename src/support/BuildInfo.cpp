@@ -16,13 +16,6 @@ const char *ardf::libraryBuildType() {
 #endif
 }
 
-std::string ardf::toolVersionLine(const char *Tool) {
-  std::string Line = Tool;
-  Line += " (ardf) build=";
-  Line += libraryBuildType();
-  return Line;
-}
-
 std::string ardf::hostCpuModel() {
 #if defined(__x86_64__) || defined(__i386__)
   unsigned Regs[12] = {};

@@ -28,12 +28,6 @@ namespace ardf {
 /// caller actually linked, not the caller's own flags.
 const char *libraryBuildType();
 
-/// The shared --version line of the CLI tools, e.g.
-/// "ardf-lint (ardf) build=release". One helper so every tool reports
-/// the library's build type the same way (see libraryBuildType for why
-/// the library's own flags are the honest source).
-std::string toolVersionLine(const char *Tool);
-
 /// The host CPU's brand string (e.g. "Intel(R) Xeon(R) Processor"), read
 /// through cpuid on x86 and "unknown" elsewhere. Part of the host
 /// fingerprint benchmark snapshots record, so timings from different

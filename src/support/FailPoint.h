@@ -21,7 +21,7 @@
 /// environment variable (comma-separated specs, parsed once at static
 /// initialization) arms failpoints in any process without code changes:
 ///
-///   ARDF_FAILPOINTS=driver.loop@3:throw,lint.check:stall=50 ardf-lint f.arf
+///   ARDF_FAILPOINTS=driver.loop@3:throw,lint.check:stall=50 ardf lint f.arf
 ///
 /// The zero-overhead-off contract matches the telemetry layer: when no
 /// failpoint is armed anywhere in the process, evaluate() is a single

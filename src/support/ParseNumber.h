@@ -9,7 +9,7 @@
 /// longest numeric prefix and return 0 for garbage, and several options
 /// give 0 the meaning "uncapped" or "no deadline": "--max-input-bytes=ten"
 /// would lift the input cap and "--deadline-ms=2s" would set 2 ms. These
-/// parsers accept the whole text or nothing, so every tool turns a
+/// parsers accept the whole text or nothing, so every subcommand turns a
 /// malformed value into a usage error (exit 2).
 ///
 //===----------------------------------------------------------------------===//
@@ -35,22 +35,22 @@ bool parseUnsigned(std::string_view Text, uint64_t &Out,
 /// consumed whole; exponents, "inf" and "nan" are rejected.
 bool parseDecimal(std::string_view Text, double &Out);
 
-/// Option form for the CLI tools: parses the value of \p Arg, spelled
-/// \p Prefix ("--workers=") plus a number, into \p Out, requiring at
-/// least \p Min and at most \p Max (default: whatever \p Out holds).
-/// On failure leaves \p Out untouched, sets \p Err to a usage message
-/// ("--workers needs a positive integer") and returns false.
+/// Option form for the command line: parses \p Value, the value of
+/// option \p Name ("--workers"), into \p Out, requiring at least \p Min
+/// and at most \p Max (default: whatever \p Out holds). On failure
+/// leaves \p Out untouched, sets \p Err to a usage message ("--workers
+/// needs a positive integer") and returns false.
 template <typename T>
-bool parseUnsignedOption(std::string_view Arg, std::string_view Prefix,
+bool parseUnsignedOption(std::string_view Name, std::string_view Value,
                          T &Out, std::string &Err, uint64_t Min = 0,
                          uint64_t Max = std::numeric_limits<T>::max()) {
   uint64_t V = 0;
-  if (parseUnsigned(Arg.substr(Prefix.size()), V, Max) && V >= Min) {
+  if (parseUnsigned(Value, V, Max) && V >= Min) {
     Out = static_cast<T>(V);
     return true;
   }
-  Err = std::string(Prefix.substr(0, Prefix.size() - 1)) + " needs a " +
-        (Min ? "positive" : "non-negative") + " integer";
+  Err = std::string(Name) + " needs a " + (Min ? "positive" : "non-negative") +
+        " integer";
   return false;
 }
 

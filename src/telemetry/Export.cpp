@@ -2,8 +2,9 @@
 
 #include "telemetry/Export.h"
 
+#include "support/Json.h"
+
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -12,39 +13,6 @@ using namespace ardf;
 using namespace ardf::telem;
 
 namespace {
-
-/// JSON string escaping (control characters, quotes, backslashes).
-void writeJsonString(std::ostream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
-}
 
 /// Microseconds with nanosecond precision, as trace-event "ts" wants.
 void writeMicros(std::ostream &OS, uint64_t Ns) {
@@ -106,9 +74,9 @@ void telem::writeChromeTrace(std::ostream &OS,
         "\"tid\":0,\"args\":{\"name\":\"ardf\"}}";
   for (const TraceEvent &E : Events) {
     OS << ",\n{\"name\":";
-    writeJsonString(OS, E.Name);
+    OS << json::quoted(E.Name);
     OS << ",\"cat\":";
-    writeJsonString(OS, E.Cat);
+    OS << json::quoted(E.Cat);
     OS << ",\"ph\":\"X\",\"ts\":";
     writeMicros(OS, E.StartNs - Epoch);
     OS << ",\"dur\":";
@@ -119,7 +87,7 @@ void telem::writeChromeTrace(std::ostream &OS,
       for (unsigned I = 0; I != E.NumArgs; ++I) {
         if (I)
           OS << ',';
-        writeJsonString(OS, E.ArgKeys[I]);
+        OS << json::quoted(E.ArgKeys[I]);
         OS << ':' << E.ArgVals[I];
       }
       OS << '}';
@@ -151,7 +119,7 @@ void telem::writeStatsJson(std::ostream &OS, const Telemetry &T) {
   for (unsigned I = 0; I != NumCounters; ++I) {
     Counter C = static_cast<Counter>(I);
     OS << "    ";
-    writeJsonString(OS, counterName(C));
+    OS << json::quoted(counterName(C));
     OS << ": " << T.get(C) << (I + 1 == NumCounters ? "\n" : ",\n");
   }
   DerivedStats D = DerivedStats::compute(T);
@@ -171,7 +139,7 @@ void telem::writeStatsJson(std::ostream &OS, const Telemetry &T) {
     Histo H = static_cast<Histo>(I);
     HistogramSnapshot S = T.histogram(H).snapshot();
     OS << "    ";
-    writeJsonString(OS, histoName(H));
+    OS << json::quoted(histoName(H));
     OS << ": {\"count\": " << S.Count << ", \"sum_ns\": " << S.SumNs
        << ", \"p50_ns\": " << S.quantileNs(0.50)
        << ", \"p95_ns\": " << S.quantileNs(0.95)

@@ -166,16 +166,8 @@ void planLoop(LoopAnalysisSession &Session, const LoadElimOptions &Opts,
 
 LoadElimResult ardf::eliminateRedundantLoads(const Program &P,
                                              const LoadElimOptions &Opts) {
-  LoadElimResult Result;
-  RewritePlan Plan;
-  for (const StmtPtr &S : P.getStmts())
-    if (const auto *Loop = dyn_cast<DoLoopStmt>(S.get()))
-      if (Loop->isNormalized()) {
-        LoopAnalysisSession Session(P, *Loop);
-        planLoop(Session, Opts, Plan, Result);
-      }
-  Result.Transformed = rewriteProgram(P, Plan);
-  return Result;
+  ProgramAnalysisDriver Driver(P);
+  return eliminateRedundantLoads(Driver, Opts);
 }
 
 LoadElimResult ardf::eliminateRedundantLoads(ProgramAnalysisDriver &Driver,
@@ -185,9 +177,8 @@ LoadElimResult ardf::eliminateRedundantLoads(ProgramAnalysisDriver &Driver,
   RewritePlan Plan;
   for (const StmtPtr &S : P.getStmts())
     if (const auto *Loop = dyn_cast<DoLoopStmt>(S.get()))
-      if (Loop->isNormalized())
-        if (LoopAnalysisSession *Session = Driver.sessionFor(*Loop))
-          planLoop(*Session, Opts, Plan, Result);
+      if (LoopAnalysisSession *Session = plannableSession(Driver, *Loop, Plan))
+        planLoop(*Session, Opts, Plan, Result);
   Result.Transformed = rewriteProgram(P, Plan);
   return Result;
 }

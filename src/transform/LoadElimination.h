@@ -56,7 +56,9 @@ struct LoadElimResult {
   std::vector<std::string> Notes;
 };
 
-/// Applies scalar replacement to every top-level loop of \p P.
+/// Applies scalar replacement to every top-level loop of \p P that the
+/// nest recognizer supports, through a private ProgramAnalysisDriver
+/// (the same loop walk as the batched form).
 LoadElimResult eliminateRedundantLoads(const Program &P,
                                        const LoadElimOptions &Opts = {});
 

@@ -2,6 +2,9 @@
 
 #include "transform/Rewrite.h"
 
+#include "analysis/LoopAnalysisSession.h"
+#include "driver/ProgramAnalysisDriver.h"
+
 #include <cassert>
 
 using namespace ardf;
@@ -78,19 +81,34 @@ StmtPtr rewriteStmt(const Stmt &S, RewritePlan &Plan) {
 
 StmtList ardf::rewriteStmts(const StmtList &Stmts, RewritePlan &Plan) {
   StmtList Result;
-  for (const StmtPtr &S : Stmts) {
-    auto BeforeIt = Plan.InsertBefore.find(S.get());
+  for (const StmtPtr &Orig : Stmts) {
+    auto StandIn = Plan.Analyzed.find(Orig.get());
+    const Stmt *S =
+        StandIn == Plan.Analyzed.end() ? Orig.get() : StandIn->second;
+    auto BeforeIt = Plan.InsertBefore.find(S);
     if (BeforeIt != Plan.InsertBefore.end())
       for (StmtPtr &New : BeforeIt->second)
         Result.push_back(std::move(New));
-    if (!Plan.RemoveStmts.count(S.get()))
+    if (!Plan.RemoveStmts.count(S))
       Result.push_back(rewriteStmt(*S, Plan));
-    auto AfterIt = Plan.InsertAfter.find(S.get());
+    auto AfterIt = Plan.InsertAfter.find(S);
     if (AfterIt != Plan.InsertAfter.end())
       for (StmtPtr &New : AfterIt->second)
         Result.push_back(std::move(New));
   }
   return Result;
+}
+
+LoopAnalysisSession *ardf::plannableSession(ProgramAnalysisDriver &Driver,
+                                            const DoLoopStmt &Loop,
+                                            RewritePlan &Plan) {
+  if (!Loop.isNormalized())
+    return nullptr;
+  LoopAnalysisSession *Session = Driver.sessionFor(Loop);
+  if (!Session || !Session->loop().equals(Loop))
+    return nullptr;
+  Plan.Analyzed[&Loop] = &Session->loop();
+  return Session;
 }
 
 Program ardf::rewriteProgram(const Program &P, RewritePlan &Plan) {

@@ -108,16 +108,8 @@ int64_t planLoop(LoopAnalysisSession &Session, RewritePlan &Plan,
 } // namespace
 
 StoreElimResult ardf::eliminateRedundantStores(const Program &P) {
-  StoreElimResult Result;
-  RewritePlan Plan;
-  for (const StmtPtr &S : P.getStmts())
-    if (const auto *Loop = dyn_cast<DoLoopStmt>(S.get()))
-      if (Loop->isNormalized()) {
-        LoopAnalysisSession Session(P, *Loop);
-        planLoop(Session, Plan, Result);
-      }
-  Result.Transformed = rewriteProgram(P, Plan);
-  return Result;
+  ProgramAnalysisDriver Driver(P);
+  return eliminateRedundantStores(Driver);
 }
 
 StoreElimResult ardf::eliminateRedundantStores(ProgramAnalysisDriver &Driver) {
@@ -126,9 +118,8 @@ StoreElimResult ardf::eliminateRedundantStores(ProgramAnalysisDriver &Driver) {
   RewritePlan Plan;
   for (const StmtPtr &S : P.getStmts())
     if (const auto *Loop = dyn_cast<DoLoopStmt>(S.get()))
-      if (Loop->isNormalized())
-        if (LoopAnalysisSession *Session = Driver.sessionFor(*Loop))
-          planLoop(*Session, Plan, Result);
+      if (LoopAnalysisSession *Session = plannableSession(Driver, *Loop, Plan))
+        planLoop(*Session, Plan, Result);
   Result.Transformed = rewriteProgram(P, Plan);
   return Result;
 }

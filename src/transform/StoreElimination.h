@@ -42,7 +42,10 @@ struct StoreElimResult {
 
 /// Applies redundant store elimination to every top-level loop of \p P.
 /// Loops must be normalized; loops whose trip count is too small to
-/// unpeel are left unchanged.
+/// unpeel, and loops the nest recognizer rejects (a while or break it
+/// cannot reduce), are left unchanged. Runs through a private
+/// ProgramAnalysisDriver, so it walks loops exactly like the batched
+/// form.
 StoreElimResult eliminateRedundantStores(const Program &P);
 
 /// Batched form: analyses run through \p Driver's per-loop sessions, so

@@ -61,8 +61,9 @@ TEST(CfgTest, StraightLineIsAcyclic) {
   EXPECT_TRUE(G.loops().empty());
   // Every reachable block is dominated by the entry.
   for (unsigned B = 0; B != G.getNumBlocks(); ++B)
-    if (G.isReachable(B))
+    if (G.isReachable(B)) {
       EXPECT_TRUE(G.dominates(G.getEntry(), B));
+    }
 }
 
 TEST(CfgTest, IfDiamondBranchesDoNotDominateJoin) {
@@ -162,8 +163,9 @@ TEST(CfgTest, NestedLoopsFormAForest) {
 
   // Outermost-first: a loop never precedes its parent.
   for (unsigned L = 0; L != G.loops().size(); ++L)
-    if (G.parentLoopOf(L) >= 0)
+    if (G.parentLoopOf(L) >= 0) {
       EXPECT_LT(static_cast<unsigned>(G.parentLoopOf(L)), L);
+    }
 
   // Member containment follows nesting: every k-block is a j-block, and
   // every j-block an i-block.

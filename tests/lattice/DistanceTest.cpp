@@ -83,8 +83,9 @@ TEST(DistanceTest, IncrementIsMonotoneProperty) {
   std::vector<DistanceValue> Chain = sampleChain();
   for (const DistanceValue &A : Chain)
     for (const DistanceValue &B : Chain)
-      if (A <= B)
+      if (A <= B) {
         EXPECT_LE(A.increment(10), B.increment(10));
+      }
 }
 
 TEST(DistanceTest, Covers) {

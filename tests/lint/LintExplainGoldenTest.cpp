@@ -9,9 +9,9 @@
 //
 // To regenerate after an intentional change:
 //   cd examples/programs && for f in fig4 nested; do
-//     ../../build/tools/ardf-lint --quiet --explain $f.arf >
+//     ../../build/tools/ardf lint --quiet --explain $f.arf >
 //       ../../tests/lint/golden/explain/$f.expected
-//     ../../build/tools/ardf-lint --format=sarif --explain $f.arf >
+//     ../../build/tools/ardf lint --format=sarif --explain $f.arf >
 //       ../../tests/lint/golden/explain/$f.sarif
 //   done
 //
@@ -97,8 +97,9 @@ TEST_P(LintExplainGoldenTest, ExplainFilterKeepsOnlyTheNamedCheck) {
   Opts.ExplainCheck = "cross-iteration-conflict";
   LintResult R = lintSource(Src, File, Opts);
   for (const Diagnostic &D : R.Diags) {
-    if (D.CheckId != "cross-iteration-conflict")
+    if (D.CheckId != "cross-iteration-conflict") {
       EXPECT_FALSE(D.hasEvidence()) << D.CheckId;
+    }
   }
 }
 

@@ -8,7 +8,7 @@
 //
 // To regenerate after an intentional diagnostic change:
 //   cd examples/programs && for f in *.arf; do
-//     ../../build/tools/ardf-lint --quiet $f >
+//     ../../build/tools/ardf lint --quiet $f >
 //     ../../tests/lint/golden/${f%.arf}.expected; done
 // (same loop with --format=sarif refreshes tests/lint/golden/sarif/.)
 //

@@ -269,11 +269,6 @@ TEST(LintEngineTest, PackedEngineProducesIdenticalDiagnostics) {
 // renderers
 //===----------------------------------------------------------------------===//
 
-TEST(LintRenderTest, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(LintRenderTest, TextRendererShowsSnippetAndCaret) {
   std::string Src = "do i = 1, 10 {\n"
                     "  B[i] = A[i] + A[i+1];\n"

@@ -265,6 +265,57 @@ TEST(ServerTest, WatchdogFailsWedgedWorkerNotTheServer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(1300));
 }
 
+namespace {
+
+/// Submits one line and returns counter \p C as the Respond callback
+/// saw it, i.e. at the moment the response was delivered.
+uint64_t counterAtDelivery(AnalysisServer &S, const std::string &Line,
+                           telem::Counter C) {
+  auto P = std::make_shared<std::promise<uint64_t>>();
+  std::future<uint64_t> F = P->get_future();
+  S.submit(Line, [&S, P, C](std::string) {
+    P->set_value(S.telemetry().get(C));
+  });
+  EXPECT_EQ(F.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+      << Line;
+  return F.get();
+}
+
+} // namespace
+
+TEST(ServerTest, ResponsesAreCountedBeforeDelivery) {
+  // Every respond site claims the request, counts it, then delivers:
+  // a client reading the counters from its own callback already sees
+  // its response counted.
+  {
+    ServeOptions Opts;
+    Opts.MaxRequestBytes = 64;
+    AnalysisServer S(Opts);
+    EXPECT_EQ(counterAtDelivery(S, "{\"method\":\"stats\",\"id\":1}",
+                                telem::Counter::ServeOk),
+              1u);
+    EXPECT_EQ(counterAtDelivery(S, "{\"method\": nope}",
+                                telem::Counter::ServeErrors),
+              1u);
+    EXPECT_EQ(counterAtDelivery(S, lintLine(std::string(256, 'x'), "b", 1),
+                                telem::Counter::ServeErrors),
+              2u);
+  }
+  failpoint::ScopedFailPoint Stall("serve.request", failpoint::Action::Stall,
+                                   1, 600);
+  ServeOptions Opts;
+  Opts.RequestDeadlineMs = 50;
+  Opts.WatchdogGraceMs = 50;
+  {
+    AnalysisServer S(Opts);
+    EXPECT_EQ(counterAtDelivery(S, "{\"method\":\"stats\",\"id\":2}",
+                                telem::Counter::ServeWatchdogKills),
+              1u);
+  }
+  // Let the abandoned worker's stall end before the failpoint goes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(700));
+}
+
 TEST(ServerTest, ShutdownMethodDrainsAndShedsFollowups) {
   AnalysisServer S;
   json::Value Resp = parsed(call(S, "{\"method\":\"shutdown\",\"id\":1}"));

@@ -36,20 +36,16 @@ TEST(ParseNumberTest, DecimalRejectsSignsExponentsAndNonFinite) {
 TEST(ParseNumberTest, OptionFormNamesTheOptionAndItsBounds) {
   unsigned Workers = 1;
   std::string Err;
-  EXPECT_TRUE(parseUnsignedOption("--workers=4", "--workers=", Workers, Err,
-                                  1));
+  EXPECT_TRUE(parseUnsignedOption("--workers", "4", Workers, Err, 1));
   EXPECT_EQ(Workers, 4u);
-  EXPECT_FALSE(parseUnsignedOption("--workers=0", "--workers=", Workers, Err,
-                                   1));
+  EXPECT_FALSE(parseUnsignedOption("--workers", "0", Workers, Err, 1));
   EXPECT_EQ(Err, "--workers needs a positive integer");
   // Values past the target type are rejected, not truncated.
-  EXPECT_FALSE(parseUnsignedOption("--workers=4294967297", "--workers=",
-                                   Workers, Err, 1));
+  EXPECT_FALSE(
+      parseUnsignedOption("--workers", "4294967297", Workers, Err, 1));
   EXPECT_EQ(Workers, 4u);
   uint64_t Bytes = 5;
-  EXPECT_FALSE(
-      parseUnsignedOption("--max-input-bytes=ten", "--max-input-bytes=",
-                          Bytes, Err));
+  EXPECT_FALSE(parseUnsignedOption("--max-input-bytes", "ten", Bytes, Err));
   EXPECT_EQ(Err, "--max-input-bytes needs a non-negative integer");
   EXPECT_EQ(Bytes, 5u);
 }

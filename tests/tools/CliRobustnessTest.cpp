@@ -1,9 +1,10 @@
 //===- tests/tools/CliRobustnessTest.cpp - CLI exit-code contract --------===//
 //
-// Black-box checks of the shipped binaries: missing, non-regular, and
-// oversized inputs exit 2 with a one-line diagnostic; clean inputs exit
-// 0; --strict turns degraded checks into exit 1; ARDF_FAILPOINTS arms
-// failpoints in a child process without code changes.
+// Black-box checks of the `ardf` binary's subcommands: missing,
+// non-regular, and oversized inputs exit 2 with a one-line diagnostic;
+// clean inputs exit 0; --strict turns degraded checks into exit 1;
+// ARDF_FAILPOINTS arms failpoints in a child process without code
+// changes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,10 +18,11 @@
 
 namespace {
 
-const std::string Lint = ARDF_LINT_BIN;
-const std::string Stats = ARDF_STATS_BIN;
-const std::string Explain = ARDF_EXPLAIN_BIN;
-const std::string Serve = ARDF_SERVE_BIN;
+const std::string Ardf = ARDF_BIN;
+const std::string Lint = Ardf + " lint";
+const std::string Stats = Ardf + " stats";
+const std::string Explain = Ardf + " explain";
+const std::string Serve = Ardf + " serve";
 const std::string Example = std::string(ARDF_EXAMPLES_DIR) + "/fig1.arf";
 const std::string Fig4 = std::string(ARDF_EXAMPLES_DIR) + "/fig4.arf";
 
@@ -83,12 +85,23 @@ TEST(CliRobustnessTest, UsageErrorsExitTwo) {
   EXPECT_EQ(run(Lint), 2);                       // no inputs
   EXPECT_EQ(run(Lint + " --no-such-option x"), 2);
   EXPECT_EQ(run(Stats + " --budget-visits=0 " + Example), 2);
+  // An optional value takes only `=`, and `--stats=` is not a bare flag.
+  EXPECT_EQ(run(Lint + " --quiet --stats= " + Example), 2);
+  // A bare `ardf` or an unknown subcommand names the four subcommands.
+  for (const std::string &Cmd : {Ardf, Ardf + " frobnicate"}) {
+    std::string Out;
+    EXPECT_EQ(runCapture(Cmd, Out), 2) << Cmd;
+    EXPECT_NE(Out.find("lint, explain, stats, serve"), std::string::npos)
+        << Out;
+  }
 }
 
 TEST(CliRobustnessTest, EngineNamesAreValidated) {
   // Every spelled engine is accepted by both tools...
   for (const char *Name : {"reference", "packed"}) {
     EXPECT_EQ(run(Lint + " --quiet --engine=" + Name + " " + Example), 0)
+        << Name;
+    EXPECT_EQ(run(Lint + " --quiet --engine " + Name + " " + Example), 0)
         << Name;
     EXPECT_EQ(run(Stats + " --engine=" + Name + " " + Example), 0) << Name;
   }
@@ -103,7 +116,7 @@ TEST(CliRobustnessTest, EngineNamesAreValidated) {
   EXPECT_EQ(runCapture(Stats + " --engine=Packed " + Example, Out), 2);
   EXPECT_NE(Out.find("unknown engine 'Packed'"), std::string::npos) << Out;
   EXPECT_EQ(run(Stats + " --engine= " + Example), 2);
-  // ardf-explain's space-separated form names them too.
+  // The space-separated form names them too.
   EXPECT_EQ(runCapture(Explain + " " + Fig4 +
                            " --problem may-reach --loop 1 --engine smid",
                        Out),
@@ -152,7 +165,11 @@ TEST(CliRobustnessTest, NumericOptionsAreStrict) {
         " --max-request-bytes=abc", " --deadline-ms=2s", " --deadline-ms=abc",
         " --deadline-ms=18446744073709551615",
         " --grace-ms=-5", " --tenant-quota=4294967297",
-        " --budget-visits=1e3", " --budget-slack=abc"})
+        " --budget-visits=1e3", " --budget-slack=abc",
+        // A budget ceiling is positive in every subcommand; no ceiling
+        // is the default.
+        " --budget-visits=0", " --budget-slack=0", " --budget-cells=0",
+        " --budget-deadline-ms=0"})
     EXPECT_EQ(run(Serve + Args + " </dev/null"), 2) << Args;
   const std::string Query =
       " " + Fig4 + " --problem may-reach --cell 'X[i, j]'";
@@ -167,6 +184,9 @@ TEST(CliRobustnessTest, NumericOptionsAreStrict) {
             0);
   EXPECT_EQ(run(Explain + Query + " --loop 1 --node 2"), 0);
   EXPECT_EQ(run(Explain + Query + " --loop=1 --node=2"), 0);
+  EXPECT_EQ(run(Serve + " --budget-visits 100 --budget-slack=1.5" +
+                " --budget-cells 1000000 </dev/null"),
+            0);
 }
 
 TEST(CliRobustnessTest, ListChecksPrintsTheCatalog) {
@@ -207,7 +227,7 @@ TEST(CliRobustnessTest, BudgetFlagDegradesButStillSucceeds) {
 }
 
 TEST(CliRobustnessTest, InjectedDriverFaultIsContained) {
-  // A loop-level throw inside ardf-stats' driver must not crash the
+  // A loop-level throw inside ardf stats' driver must not crash the
   // tool; the loop is reported failed and the process exits normally.
   std::string Out;
   int Code = runCapture("env ARDF_FAILPOINTS=driver.loop@1:throw " + Stats +
@@ -265,7 +285,7 @@ TEST(CliRobustnessTest, ExplainUnknownCellListsCandidates) {
 
 TEST(CliRobustnessTest, ExplainTortureNeverCrashes) {
   // Malformed inputs, garbage flags, truncated sources, armed
-  // failpoints: ardf-explain may refuse (exit 2) or report degradation
+  // failpoints: ardf explain may refuse (exit 2) or report degradation
   // (exit 1) but must never die on a signal.
   const char *Garbage[] = {
       " --problem", " --cell", " --loop", " --loop -1", " --node 999999",
@@ -286,19 +306,13 @@ TEST(CliRobustnessTest, ExplainTortureNeverCrashes) {
 }
 
 TEST(CliRobustnessTest, VersionFlagOnEveryTool) {
-  // One shared --version contract across the four binaries: exit 0, a
-  // single line naming the tool and the build type, no input needed.
-  struct {
-    const std::string &Bin;
-    const char *Name;
-  } Tools[] = {{Lint, "ardf-lint"},
-               {Stats, "ardf-stats"},
-               {Explain, "ardf-explain"},
-               {Serve, "ardf-serve"}};
-  for (const auto &T : Tools) {
+  // One shared --version contract across the binary and its four
+  // subcommands: exit 0, a single line naming ardf and the build type,
+  // no input needed.
+  for (const std::string &Cmd : {Ardf, Lint, Stats, Explain, Serve}) {
     std::string Out;
-    EXPECT_EQ(runCapture(T.Bin + " --version", Out), 0) << T.Name;
-    EXPECT_NE(Out.find(T.Name), std::string::npos) << Out;
+    EXPECT_EQ(runCapture(Cmd + " --version", Out), 0) << Cmd;
+    EXPECT_NE(Out.find("ardf"), std::string::npos) << Out;
     EXPECT_NE(Out.find("build="), std::string::npos) << Out;
   }
 }
@@ -311,7 +325,7 @@ TEST(CliRobustnessTest, ServeUsageErrorsExitTwo) {
 
 TEST(CliRobustnessTest, ServeStdioRenderMatchesLintJson) {
   // The daemon acceptance bar: a lint request over stdio answers with a
-  // "render" member bit-identical to a fresh ardf-lint --format=json
+  // "render" member bit-identical to a fresh ardf lint --format=json
   // run over the same bytes.
   std::string LintOut;
   ASSERT_EQ(runCapture(Lint + " --format=json " + Example, LintOut), 0);
@@ -333,7 +347,7 @@ TEST(CliRobustnessTest, ServeStdioRenderMatchesLintJson) {
             "assert r['ok'], r; sys.stdout.write(r['result']['render'])\"";
   std::string Render;
   ASSERT_EQ(runCapture(Decode, Render), 0) << Render;
-  EXPECT_EQ(Render, LintOut) << "daemon render drifted from ardf-lint";
+  EXPECT_EQ(Render, LintOut) << "daemon render drifted from ardf lint";
 }
 
 TEST(CliRobustnessTest, ServeStdioSurvivesPoisonLines) {
@@ -371,4 +385,20 @@ TEST(CliRobustnessTest, LintExplainFlagWorksAndFiltersDegrade) {
   EXPECT_EQ(run("env ARDF_FAILPOINTS=lint.check:throw " + Lint +
                 " --quiet --explain " + Fig4),
             0);
+}
+
+TEST(CliRobustnessTest, ExplorerOptimizesEveryExample) {
+  // dataflow_explorer --optimize runs store then load elimination over
+  // the whole program; a loop the nest recognizer rejects (nested.arf
+  // holds a while/break) is skipped, not a crash.
+  for (const char *Name : {"fig1", "fig4", "fig5", "nested", "stencil"}) {
+    std::string Out;
+    EXPECT_EQ(runCapture(std::string(ARDF_EXPLORER_BIN) + " " +
+                             ARDF_EXAMPLES_DIR + "/" + Name +
+                             ".arf --optimize",
+                         Out),
+              0)
+        << Name << ": " << Out;
+    EXPECT_NE(Out.find("== optimized"), std::string::npos) << Out;
+  }
 }
