@@ -144,6 +144,15 @@ public:
     return static_cast<unsigned>(Stats.SolutionMisses);
   }
 
+  /// True when some memoized solution is not exact: a budget breach cut
+  /// it short and it holds the conservative fill.
+  bool anyDegraded() const {
+    for (const std::unique_ptr<Solution> &S : Solutions)
+      if (S->Result.Outcome != SolveOutcome::Ok)
+        return true;
+    return false;
+  }
+
 private:
   const LoopOrientation &orientation(FlowDirection Dir);
 

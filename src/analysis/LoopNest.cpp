@@ -453,3 +453,46 @@ void LoopNestTree::assignAnalyzedForms(NestLoop &Root) {
     }
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Incremental matching
+//===----------------------------------------------------------------------===//
+
+bool ardf::sameArrayDecls(const Program &A, const Program &B) {
+  const std::vector<ArrayDecl> &X = A.arrayDecls();
+  const std::vector<ArrayDecl> &Y = B.arrayDecls();
+  if (X.size() != Y.size())
+    return false;
+  for (size_t I = 0; I != X.size(); ++I) {
+    if (X[I].Name != Y[I].Name || X[I].DimSizes.size() != Y[I].DimSizes.size())
+      return false;
+    for (size_t D = 0; D != X[I].DimSizes.size(); ++D)
+      if (!X[I].DimSizes[D]->equals(*Y[I].DimSizes[D]))
+        return false;
+  }
+  return true;
+}
+
+std::vector<size_t>
+ardf::matchLoops(const std::vector<LoopShape> &Old,
+                 const std::vector<LoopShape> &New,
+                 const std::function<bool(size_t, size_t)> &Usable) {
+  std::vector<size_t> Match(New.size(), NoMatch);
+  std::vector<bool> Taken(Old.size(), false);
+  for (size_t J = 0; J != New.size(); ++J) {
+    const LoopShape &N = New[J];
+    if (!N.Analyzed)
+      continue;
+    for (size_t I = 0; I != Old.size(); ++I) {
+      const LoopShape &O = Old[I];
+      if (Taken[I] || !O.Analyzed || O.Depth != N.Depth ||
+          !O.Source->equals(*N.Source) || !O.Analyzed->equals(*N.Analyzed) ||
+          !Usable(I, J))
+        continue;
+      Taken[I] = true;
+      Match[J] = I;
+      break;
+    }
+  }
+  return Match;
+}

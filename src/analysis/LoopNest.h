@@ -36,6 +36,8 @@
 
 #include "cfg/Cfg.h"
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -141,6 +143,44 @@ private:
   std::vector<NestLoop *> Roots;
   unsigned Supported = 0;
 };
+
+//===----------------------------------------------------------------------===//
+// Incremental matching
+//===----------------------------------------------------------------------===//
+
+/// True when \p A and \p B declare the same arrays with structurally
+/// equal extents: the one part of a program outside a loop that the
+/// loop's analysis reads (reference linearization).
+bool sameArrayDecls(const Program &A, const Program &B);
+
+/// What the incremental matcher compares of one loop.
+struct LoopShape {
+  /// The source While/DoLoop statement.
+  const Stmt *Source = nullptr;
+
+  /// The analyzed form (NestLoop::Analyzed); null for an unsupported
+  /// loop, which never matches.
+  const DoLoopStmt *Analyzed = nullptr;
+
+  unsigned Depth = 0;
+};
+
+/// "No old loop" in matchLoops' result.
+inline constexpr size_t NoMatch = SIZE_MAX;
+
+/// The greedy structural match shared by ProgramAnalysisDriver::rerun
+/// and the daemon's lint cache. Each loop of \p New, in order, takes the
+/// first untaken loop of \p Old with the same depth, a structurally
+/// equal source statement and a structurally equal analyzed form
+/// (Stmt::equals ignores source positions), provided \p Usable accepts
+/// the (old, new) index pair. The analyzed form carries what the source
+/// statement alone does not: a while loop's recognized init and the
+/// substitutions of enclosing levels' normalization. Returns one old
+/// index per new loop, or NoMatch. The two programs must have
+/// sameArrayDecls; callers check that once.
+std::vector<size_t>
+matchLoops(const std::vector<LoopShape> &Old, const std::vector<LoopShape> &New,
+           const std::function<bool(size_t, size_t)> &Usable);
 
 } // namespace ardf
 

@@ -174,21 +174,7 @@ DriverRerun ProgramAnalysisDriver::rerun(const Program &NewProgram) {
   // Array declarations parameterize reference linearization, so a
   // record may only be carried over when every declaration is
   // unchanged; otherwise the whole batch re-analyzes.
-  bool DeclsEqual = [&] {
-    const std::vector<ArrayDecl> &A = Prog->arrayDecls();
-    const std::vector<ArrayDecl> &B = NewProgram.arrayDecls();
-    if (A.size() != B.size())
-      return false;
-    for (size_t I = 0; I != A.size(); ++I) {
-      if (A[I].Name != B[I].Name ||
-          A[I].DimSizes.size() != B[I].DimSizes.size())
-        return false;
-      for (size_t D = 0; D != A[I].DimSizes.size(); ++D)
-        if (!A[I].DimSizes[D]->equals(*B[I].DimSizes[D]))
-          return false;
-    }
-    return true;
-  }();
+  bool DeclsEqual = sameArrayDecls(*Prog, NewProgram);
 
   std::vector<AnalyzedLoop> Old;
   Old.swap(Loops);
@@ -196,41 +182,43 @@ DriverRerun ProgramAnalysisDriver::rerun(const Program &NewProgram) {
   NestTrees.push_back(std::make_shared<const LoopNestTree>(NewProgram));
   collectFromNest();
 
-  // Greedy structural match on the SOURCE statements (so while loops
-  // diff correctly too): each new loop takes the first untaken old
-  // record that analyzed cleanly and is textually identical at the same
-  // depth. Failed or never-built records are not worth carrying -- a
-  // fresh analysis is the only way they make progress. Unsupported new
-  // loops never analyze, so they neither reuse nor reanalyze.
+  // The shared structural match (matchLoops): each new loop takes the
+  // first untaken old record that analyzed cleanly and is structurally
+  // identical at the same depth. Failed or never-built records are not
+  // worth carrying -- a fresh analysis is the only way they make
+  // progress. Unsupported new loops never analyze, so they neither
+  // reuse nor reanalyze.
+  auto ShapeOf = [](const AnalyzedLoop &R) {
+    return LoopShape{R.Source, R.Loop, R.Depth};
+  };
+  std::vector<LoopShape> OldShapes, NewShapes;
+  if (DeclsEqual)
+    for (const AnalyzedLoop &R : Old)
+      OldShapes.push_back(ShapeOf(R));
+  for (const AnalyzedLoop &R : Loops)
+    NewShapes.push_back(ShapeOf(R));
+  std::vector<size_t> Match =
+      matchLoops(OldShapes, NewShapes, [&](size_t I, size_t) {
+        return Old[I].Session && Old[I].Status != SolveOutcome::Failed;
+      });
+
   DriverRerun Out;
-  std::vector<bool> Taken(Old.size(), false);
   std::vector<AnalyzedLoop *> Pending;
-  for (AnalyzedLoop &R : Loops) {
+  for (size_t J = 0; J != Loops.size(); ++J) {
+    AnalyzedLoop &R = Loops[J];
     if (!R.Loop)
       continue;
-    const DoLoopStmt *NewLoop = R.Loop;
-    const Stmt *NewSource = R.Source;
-    std::string NewPath = R.NestPath;
-    bool Matched = false;
-    if (DeclsEqual)
-      for (size_t I = 0; I != Old.size() && !Matched; ++I) {
-        AnalyzedLoop &O = Old[I];
-        if (Taken[I] || !O.Session || O.Status == SolveOutcome::Failed ||
-            O.Depth != R.Depth || !O.Source->equals(*NewSource))
-          continue;
-        Taken[I] = true;
-        R = std::move(O);
-        R.Loop = NewLoop;
-        R.Source = NewSource;
-        R.NestPath = std::move(NewPath);
-        Matched = true;
-      }
-    if (Matched) {
-      ++Out.Reused;
-    } else {
+    if (Match[J] == NoMatch) {
       ++Out.Reanalyzed;
       Pending.push_back(&R);
+      continue;
     }
+    AnalyzedLoop &O = Old[Match[J]];
+    O.Loop = R.Loop;
+    O.Source = R.Source;
+    O.NestPath = std::move(R.NestPath);
+    R = std::move(O);
+    ++Out.Reused;
   }
   analyzeAll(Pending);
   return Out;

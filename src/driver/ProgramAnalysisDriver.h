@@ -160,16 +160,16 @@ public:
   void run();
 
   /// Incremental re-analysis against an edited \p NewProgram (running
-  /// the initial batch first if needed). Loops are diffed structurally:
-  /// a new-program loop that matches a successfully analyzed old loop
-  /// (equal nesting depth, DoLoopStmt::equals, and unchanged array
-  /// declarations) keeps that loop's whole record -- its session with
-  /// every memoized compiled program and solution stays warm, and no
-  /// solver work runs for it at all. Only unmatched loops are
-  /// (re)analyzed, through the same worker pool and fault boundaries as
-  /// run(). This is the daemon-style warm path: with the packed engine
-  /// a small edit re-lowers exactly the touched loops' compiled
-  /// programs.
+  /// the initial batch first if needed). Loops are diffed structurally
+  /// (matchLoops): a new-program loop that matches a successfully
+  /// analyzed old loop (equal nesting depth, equal source statement and
+  /// analyzed form, and unchanged array declarations) keeps that loop's
+  /// whole record -- its session with every memoized compiled program
+  /// and solution stays warm, and no solver work runs for it at all.
+  /// Only unmatched loops are (re)analyzed, through the same worker pool
+  /// and fault boundaries as run(). This is the daemon-style warm path:
+  /// with the packed engine a small edit re-lowers exactly the touched
+  /// loops' compiled programs.
   ///
   /// Lifetime: a reused session keeps referencing the program it was
   /// built against, so every program ever handed to the driver must
@@ -184,6 +184,12 @@ public:
   /// The current program's loop-nesting tree (reduced forms, nest
   /// paths, unsupported records).
   const LoopNestTree &nest() const { return *NestTrees.back(); }
+
+  /// The same tree, shared: a client that keeps it (the daemon's lint
+  /// cache) keeps it alive past the driver itself.
+  std::shared_ptr<const LoopNestTree> sharedNest() const {
+    return NestTrees.back();
+  }
 
   /// Per-loop records in analysis order (innermost before parents).
   const std::vector<AnalyzedLoop> &loops() const { return Loops; }

@@ -6,6 +6,15 @@
 
 using namespace ardf;
 
+namespace {
+
+/// Two's-complement wraparound of an operation done in uint64_t: the
+/// interpreted language's integers wrap instead of overflowing, which
+/// keeps the transformation oracle free of undefined behaviour.
+int64_t wrap(uint64_t V) { return static_cast<int64_t>(V); }
+
+} // namespace
+
 void Interpreter::setScalar(const std::string &Name, int64_t Value) {
   State.Scalars[Name] = Value;
 }
@@ -52,9 +61,11 @@ int64_t Interpreter::flattenIndex(const ArrayRefExpr &Ref) {
     if (I > 0) {
       assert(Decl && Decl->getNumDims() == N &&
              "multi-dimensional reference to undeclared array");
-      Index *= evalExpr(*Decl->DimSizes[I]);
+      Index = wrap(static_cast<uint64_t>(Index) *
+                   static_cast<uint64_t>(evalExpr(*Decl->DimSizes[I])));
     }
-    Index += evalExpr(*Ref.getSubscript(I));
+    Index = wrap(static_cast<uint64_t>(Index) +
+                 static_cast<uint64_t>(evalExpr(*Ref.getSubscript(I))));
   }
   return Index;
 }
@@ -74,7 +85,8 @@ int64_t Interpreter::evalExpr(const Expr &E) {
   case Expr::Kind::Unary: {
     const auto *UE = cast<UnaryExpr>(&E);
     int64_t V = evalExpr(*UE->getOperand());
-    return UE->getOp() == UnaryOpKind::Neg ? -V : !V;
+    return UE->getOp() == UnaryOpKind::Neg ? wrap(0 - static_cast<uint64_t>(V))
+                                           : !V;
   }
   case Expr::Kind::Binary: {
     const auto *BE = cast<BinaryExpr>(&E);
@@ -87,12 +99,15 @@ int64_t Interpreter::evalExpr(const Expr &E) {
     int64_t R = evalExpr(*BE->getRHS());
     switch (BE->getOp()) {
     case BinaryOpKind::Add:
-      return L + R;
+      return wrap(static_cast<uint64_t>(L) + static_cast<uint64_t>(R));
     case BinaryOpKind::Sub:
-      return L - R;
+      return wrap(static_cast<uint64_t>(L) - static_cast<uint64_t>(R));
     case BinaryOpKind::Mul:
-      return L * R;
+      return wrap(static_cast<uint64_t>(L) * static_cast<uint64_t>(R));
     case BinaryOpKind::Div:
+      // INT64_MIN / -1 wraps to INT64_MIN, like the other operators.
+      if (R == -1)
+        return wrap(0 - static_cast<uint64_t>(L));
       return R == 0 ? 0 : L / R;
     case BinaryOpKind::Eq:
       return L == R;

@@ -25,13 +25,13 @@ DiagSeverity severityOf(IssueSeverity S) {
 
 } // namespace
 
-LintResult ardf::lintProgram(const Program &P, const std::string &File,
-                             const LintOptions &Opts) {
-  LintResult Result;
-
-  // Phase 1: precondition diagnostics from the Validate pass. Statements
-  // carrying an error-severity issue poison their enclosing loop: its
-  // analysis results would be wrong, so the framework checks skip it.
+std::vector<const NestLoop *>
+ardf::lintPreconditions(const Program &P, const LoopNestTree &Nest,
+                        const std::string &File, const LintOptions &Opts,
+                        std::vector<Diagnostic> &Out) {
+  // Statements carrying an error-severity issue poison their enclosing
+  // loop: its analysis results would be wrong, so the framework checks
+  // skip it.
   std::unordered_set<const Stmt *> Poisoned;
   {
     telem::Span Validate("validate", "lint");
@@ -45,117 +45,140 @@ LintResult ardf::lintProgram(const Program &P, const std::string &File,
       D.Loc = I.Loc;
       D.Message = I.Message;
       D.StmtId = I.StmtId;
-      Result.Diags.push_back(std::move(D));
+      Out.push_back(std::move(D));
     }
   }
 
-  // Phase 2: framework-backed checks over the loop-nesting tree, one
-  // shared session per supported loop (its reduced form, so while loops
-  // and non-normalized bounds are analyzed too). Rejected loops get an
-  // explicit analysis-unsupported diagnostic instead of silence.
-  LoopNestTree Nest(P);
-  LintCheckContext Ctx;
-  Ctx.File = File;
-  Ctx.Solver.Eng = Opts.Engine;
-  Ctx.Solver.Budget = Opts.Budget;
-  for (const std::unique_ptr<NestLoop> &NodePtr : Nest.all()) {
-    const NestLoop &N = *NodePtr;
-    if (N.Depth > 0 && !Opts.IncludeNested)
+  std::vector<const NestLoop *> Loops;
+  for (const std::unique_ptr<NestLoop> &N : Nest.all()) {
+    if (N->Depth > 0 && !Opts.IncludeNested)
       continue;
     // Precondition errors already explain why the loop cannot be
     // analyzed; skip it without piling an analysis-unsupported
     // diagnostic on top.
     bool Skip = false;
-    forEachStmt(*N.Source,
-                [&](const Stmt &S) { Skip |= Poisoned.count(&S) > 0; });
-    if (Skip)
-      continue;
-    if (!N.isSupported()) {
+    if (!Poisoned.empty())
+      forEachStmt(*N->Source,
+                  [&](const Stmt &S) { Skip |= Poisoned.count(&S) > 0; });
+    if (!Skip)
+      Loops.push_back(N.get());
+  }
+  return Loops;
+}
+
+LoopLintOutcome ardf::lintLoop(const Program &P, const NestLoop &N,
+                               const std::string &File,
+                               const LintOptions &Opts,
+                               std::vector<Diagnostic> &Out) {
+  LoopLintOutcome Outcome;
+  // Rejected loops get an explicit analysis-unsupported diagnostic
+  // instead of silence.
+  if (!N.isSupported()) {
+    Diagnostic D;
+    D.CheckId = checkid::AnalysisUnsupported;
+    D.Severity = DiagSeverity::Warning;
+    D.File = File;
+    D.Loc = N.loc();
+    D.NestPath = N.Depth > 0 ? N.path() : "";
+    D.Message = std::string("analysis unsupported: the ") +
+                (N.isWhile() ? "while" : "do") + " loop at nest path '" +
+                N.path() + "' was not analyzed: " + N.UnsupportedReason;
+    D.FixHint = "rewrite the loop as a counted form the framework "
+                "supports (see the analyzability preconditions)";
+    Out.push_back(std::move(D));
+    return Outcome;
+  }
+
+  // One shared session over the loop's reduced form, so while loops and
+  // non-normalized bounds are analyzed too.
+  const DoLoopStmt *Loop = N.Analyzed;
+  telem::Span LoopSpan("lint-loop", "lint");
+  LoopAnalysisSession Session(P, *Loop);
+  LintCheckContext Ctx;
+  Ctx.File = File;
+  Ctx.Solver.Eng = Opts.Engine;
+  Ctx.Solver.Budget = Opts.Budget;
+  Ctx.NestPath = N.Depth > 0 ? N.path() : "";
+
+  // One extra session per enclosing level, analyzing the same reduced
+  // loop with respect to that level's induction variable (the
+  // hierarchical seam of Section 3.6); the checks read one iteration
+  // distance per level from these.
+  std::vector<std::unique_ptr<LoopAnalysisSession>> LevelSessions;
+  for (const NestLoop *A : N.ancestors()) {
+    NestLevel Level;
+    if (A->isSupported()) {
+      Level.Iv = A->iv();
+      LevelSessions.push_back(std::make_unique<LoopAnalysisSession>(
+          P, *Loop, A->iv(), A->tripCount()));
+      Level.Session = LevelSessions.back().get();
+    } else {
+      Level.Iv = "?";
+    }
+    Ctx.Ancestors.push_back(std::move(Level));
+  }
+  // Per-check fault boundary: an exception out of one check (e.g. an
+  // armed lint.check failpoint, or a throwing solve) becomes an
+  // analysis-degraded diagnostic for that check only; the loop's
+  // remaining checks still run.
+  auto RunCheck = [&](const char *Name, auto &&Fn) {
+    telem::Span S("check", "lint", Name);
+    telem::LatencyTimer LT(telem::Histo::CheckNs);
+    telem::count(telem::Counter::LintChecks);
+    try {
+      failpoint::evaluate("lint.check");
+      Fn();
+    } catch (const std::exception &E) {
       Diagnostic D;
-      D.CheckId = checkid::AnalysisUnsupported;
+      D.CheckId = checkid::AnalysisDegraded;
       D.Severity = DiagSeverity::Warning;
       D.File = File;
-      D.Loc = N.loc();
-      D.NestPath = N.Depth > 0 ? N.path() : "";
-      D.Message = std::string("analysis unsupported: the ") +
-                  (N.isWhile() ? "while" : "do") + " loop at nest path '" +
-                  N.path() + "' was not analyzed: " + N.UnsupportedReason;
-      D.FixHint = "rewrite the loop as a counted form the framework "
-                  "supports (see the analyzability preconditions)";
-      Result.Diags.push_back(std::move(D));
-      continue;
+      D.Loc = Loop->getLoc();
+      D.Message = std::string("analysis degraded: check '") + Name +
+                  "' aborted for the loop over '" + Loop->getIndVar() +
+                  "': " + E.what();
+      Out.push_back(std::move(D));
+      Outcome.Degraded = true;
     }
-    const DoLoopStmt *Loop = N.Analyzed;
-    telem::Span LoopSpan("lint-loop", "lint");
-    LoopAnalysisSession Session(P, *Loop);
+  };
+  size_t FirstDiag = Out.size();
+  RunCheck("redundant-load", [&] { checkRedundantLoad(Session, Ctx, Out); });
+  RunCheck("dead-store", [&] { checkDeadStore(Session, Ctx, Out); });
+  RunCheck("loop-carried-reuse",
+           [&] { checkLoopCarriedReuse(Session, Ctx, Out); });
+  RunCheck("cross-iteration-conflict",
+           [&] { checkCrossIterationConflict(Session, Ctx, Out); });
+  if (Opts.CrossCheck)
+    RunCheck("engine-cross-check", [&] {
+      Outcome.EngineDivergences += checkEngineDivergence(Session, Ctx, Out);
+      telem::count(telem::Counter::LintCrossChecks);
+    });
+  // Explain runs inside the same fault boundary as the checks: a
+  // throwing provenance re-solve degrades this loop's remarks, never
+  // the lint run.
+  if (Opts.Explain)
+    RunCheck("explain", [&] {
+      RemarkOptions RO;
+      RO.CheckFilter = Opts.ExplainCheck;
+      attachRemarks(Session, Ctx, Out, FirstDiag, RO);
+    });
+  Outcome.Analyzed = true;
+  Outcome.Degraded |= Session.anyDegraded();
+  for (const std::unique_ptr<LoopAnalysisSession> &L : LevelSessions)
+    Outcome.Degraded |= L->anyDegraded();
+  telem::count(telem::Counter::LintLoops);
+  return Outcome;
+}
 
-    // One extra session per enclosing level, analyzing the same reduced
-    // loop with respect to that level's induction variable (the
-    // hierarchical seam of Section 3.6); the checks read one iteration
-    // distance per level from these.
-    std::vector<std::unique_ptr<LoopAnalysisSession>> LevelSessions;
-    Ctx.NestPath = N.Depth > 0 ? N.path() : "";
-    Ctx.Ancestors.clear();
-    for (const NestLoop *A : N.ancestors()) {
-      NestLevel Level;
-      if (A->isSupported()) {
-        Level.Iv = A->iv();
-        LevelSessions.push_back(std::make_unique<LoopAnalysisSession>(
-            P, *Loop, A->iv(), A->tripCount()));
-        Level.Session = LevelSessions.back().get();
-      } else {
-        Level.Iv = "?";
-      }
-      Ctx.Ancestors.push_back(std::move(Level));
-    }
-    // Per-check fault boundary: an exception out of one check (e.g. an
-    // armed lint.check failpoint, or a throwing solve) becomes an
-    // analysis-degraded diagnostic for that check only; the loop's
-    // remaining checks still run.
-    auto RunCheck = [&](const char *Name, auto &&Fn) {
-      telem::Span S("check", "lint", Name);
-      telem::LatencyTimer LT(telem::Histo::CheckNs);
-      telem::count(telem::Counter::LintChecks);
-      try {
-        failpoint::evaluate("lint.check");
-        Fn();
-      } catch (const std::exception &E) {
-        Diagnostic D;
-        D.CheckId = checkid::AnalysisDegraded;
-        D.Severity = DiagSeverity::Warning;
-        D.File = File;
-        D.Loc = Loop->getLoc();
-        D.Message = std::string("analysis degraded: check '") + Name +
-                    "' aborted for the loop over '" + Loop->getIndVar() +
-                    "': " + E.what();
-        Result.Diags.push_back(std::move(D));
-      }
-    };
-    size_t FirstDiag = Result.Diags.size();
-    RunCheck("redundant-load",
-             [&] { checkRedundantLoad(Session, Ctx, Result.Diags); });
-    RunCheck("dead-store", [&] { checkDeadStore(Session, Ctx, Result.Diags); });
-    RunCheck("loop-carried-reuse",
-             [&] { checkLoopCarriedReuse(Session, Ctx, Result.Diags); });
-    RunCheck("cross-iteration-conflict",
-             [&] { checkCrossIterationConflict(Session, Ctx, Result.Diags); });
-    if (Opts.CrossCheck)
-      RunCheck("engine-cross-check", [&] {
-        Result.EngineDivergences +=
-            checkEngineDivergence(Session, Ctx, Result.Diags);
-        telem::count(telem::Counter::LintCrossChecks);
-      });
-    // Explain runs inside the same fault boundary as the checks: a
-    // throwing provenance re-solve degrades this loop's remarks, never
-    // the lint run.
-    if (Opts.Explain)
-      RunCheck("explain", [&] {
-        RemarkOptions RO;
-        RO.CheckFilter = Opts.ExplainCheck;
-        attachRemarks(Session, Ctx, Result.Diags, FirstDiag, RO);
-      });
-    ++Result.LoopsAnalyzed;
-    telem::count(telem::Counter::LintLoops);
+LintResult ardf::lintProgram(const Program &P, const std::string &File,
+                             const LintOptions &Opts) {
+  LintResult Result;
+  LoopNestTree Nest(P);
+  for (const NestLoop *N :
+       lintPreconditions(P, Nest, File, Opts, Result.Diags)) {
+    LoopLintOutcome O = lintLoop(P, *N, File, Opts, Result.Diags);
+    Result.LoopsAnalyzed += O.Analyzed ? 1 : 0;
+    Result.EngineDivergences += O.EngineDivergences;
   }
 
   for (const Diagnostic &D : Result.Diags)

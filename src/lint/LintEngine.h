@@ -33,7 +33,9 @@
 
 namespace ardf {
 
+class LoopNestTree;
 class Program;
+struct NestLoop;
 
 /// Lint engine configuration.
 struct LintOptions {
@@ -101,6 +103,45 @@ struct LintResult {
 /// into every diagnostic.
 LintResult lintProgram(const Program &P, const std::string &File,
                        const LintOptions &Opts = LintOptions());
+
+/// The first phase of one lint run over \p P and its nesting tree
+/// \p Nest: appends the precondition diagnostics of the Validate pass to
+/// \p Out and returns the loops the run lints, in nest pre-order. Those
+/// are all loops (nested ones only under IncludeNested) except the ones
+/// containing a statement with an error-severity issue: their analysis
+/// would be wrong, and the precondition error already says why.
+std::vector<const NestLoop *> lintPreconditions(const Program &P,
+                                                const LoopNestTree &Nest,
+                                                const std::string &File,
+                                                const LintOptions &Opts,
+                                                std::vector<Diagnostic> &Out);
+
+/// What lintLoop reports about one loop besides its diagnostics.
+struct LoopLintOutcome {
+  /// The framework checks ran (the nest recognizer supports the loop).
+  bool Analyzed = false;
+
+  /// Engine cross-check comparisons that diverged.
+  unsigned EngineDivergences = 0;
+
+  /// A check aborted, or a backing solve of the loop or of one of its
+  /// enclosing levels degraded: the output depends on the budget at
+  /// hand, and under a deadline on timing.
+  bool Degraded = false;
+};
+
+/// The per-loop body of lintProgram, which the daemon's incremental
+/// lint shares: an analysis-unsupported diagnostic for a loop the nest
+/// recognizer rejected; otherwise every framework check over the
+/// loop's analyzed form, reading per-level distances from one
+/// with-respect-to session per enclosing level (Section 3.6). Appends
+/// the loop's diagnostics to \p Out unsorted. Its output depends only
+/// on the loop's source and analyzed form, the array declarations, the
+/// induction variable, trip count and support of each enclosing level,
+/// \p File and \p Opts.
+LoopLintOutcome lintLoop(const Program &P, const NestLoop &N,
+                         const std::string &File, const LintOptions &Opts,
+                         std::vector<Diagnostic> &Out);
 
 /// Parses \p Source and lints it. Parse failures become parse-error
 /// diagnostics (and no framework checks run on a partial program).

@@ -114,53 +114,56 @@ void ardf::renderText(std::ostream &OS, const std::vector<Diagnostic> &Diags,
 
 void ardf::renderJsonLines(std::ostream &OS,
                            const std::vector<Diagnostic> &Diags) {
-  for (const Diagnostic &D : Diags) {
-    OS << "{\"check\":" << json::quoted(D.CheckId) << ",\"severity\":\""
-       << severityName(D.Severity) << "\",\"file\":" << json::quoted(D.File)
-       << ",\"line\":" << D.Loc.Line << ",\"col\":" << D.Loc.Col
-       << ",\"message\":" << json::quoted(D.Message);
-    if (D.hasDistance())
-      OS << ",\"distance\":" << D.Distance;
-    if (D.hasNest()) {
-      OS << ",\"nest\":" << json::quoted(D.NestPath);
-      if (!D.Levels.empty()) {
-        // NoDistance levels render as -1 (distance unknown there).
-        OS << ",\"levels\":[";
-        for (size_t L = 0; L != D.Levels.size(); ++L)
-          OS << (L ? "," : "") << D.Levels[L];
-        OS << ']';
-      }
-    }
-    if (D.StmtId != 0)
-      OS << ",\"stmtId\":" << D.StmtId;
-    if (!D.FixHint.empty())
-      OS << ",\"fix\":" << json::quoted(D.FixHint);
-    if (!D.Related.empty()) {
-      OS << ",\"related\":[";
-      for (size_t I = 0; I != D.Related.size(); ++I) {
-        const RelatedLoc &R = D.Related[I];
-        OS << (I ? "," : "") << "{\"line\":" << R.Loc.Line
-           << ",\"col\":" << R.Loc.Col << ",\"message\":"
-           << json::quoted(R.Message) << "}";
-      }
+  for (const Diagnostic &D : Diags)
+    renderJsonLine(OS, D);
+}
+
+void ardf::renderJsonLine(std::ostream &OS, const Diagnostic &D) {
+  OS << "{\"check\":" << json::quoted(D.CheckId) << ",\"severity\":\""
+     << severityName(D.Severity) << "\",\"file\":" << json::quoted(D.File)
+     << ",\"line\":" << D.Loc.Line << ",\"col\":" << D.Loc.Col
+     << ",\"message\":" << json::quoted(D.Message);
+  if (D.hasDistance())
+    OS << ",\"distance\":" << D.Distance;
+  if (D.hasNest()) {
+    OS << ",\"nest\":" << json::quoted(D.NestPath);
+    if (!D.Levels.empty()) {
+      // NoDistance levels render as -1 (distance unknown there).
+      OS << ",\"levels\":[";
+      for (size_t L = 0; L != D.Levels.size(); ++L)
+        OS << (L ? "," : "") << D.Levels[L];
       OS << ']';
     }
-    if (D.hasEvidence()) {
-      OS << ",\"evidence\":[";
-      for (size_t I = 0; I != D.Evidence.size(); ++I) {
-        const RelatedLoc &E = D.Evidence[I];
-        OS << (I ? "," : "") << "{\"line\":" << E.Loc.Line
-           << ",\"col\":" << E.Loc.Col << ",\"message\":"
-           << json::quoted(E.Message) << "}";
-      }
-      OS << ']';
-      // The derivation DAG is already one compact JSON object; embed it
-      // verbatim rather than re-escaping it as a string.
-      if (!D.DerivationJson.empty())
-        OS << ",\"derivation\":" << D.DerivationJson;
-    }
-    OS << "}\n";
   }
+  if (D.StmtId != 0)
+    OS << ",\"stmtId\":" << D.StmtId;
+  if (!D.FixHint.empty())
+    OS << ",\"fix\":" << json::quoted(D.FixHint);
+  if (!D.Related.empty()) {
+    OS << ",\"related\":[";
+    for (size_t I = 0; I != D.Related.size(); ++I) {
+      const RelatedLoc &R = D.Related[I];
+      OS << (I ? "," : "") << "{\"line\":" << R.Loc.Line
+         << ",\"col\":" << R.Loc.Col << ",\"message\":"
+         << json::quoted(R.Message) << "}";
+    }
+    OS << ']';
+  }
+  if (D.hasEvidence()) {
+    OS << ",\"evidence\":[";
+    for (size_t I = 0; I != D.Evidence.size(); ++I) {
+      const RelatedLoc &E = D.Evidence[I];
+      OS << (I ? "," : "") << "{\"line\":" << E.Loc.Line
+         << ",\"col\":" << E.Loc.Col << ",\"message\":"
+         << json::quoted(E.Message) << "}";
+    }
+    OS << ']';
+    // The derivation DAG is already one compact JSON object; embed it
+    // verbatim rather than re-escaping it as a string.
+    if (!D.DerivationJson.empty())
+      OS << ",\"derivation\":" << D.DerivationJson;
+  }
+  OS << "}\n";
 }
 
 //===----------------------------------------------------------------------===//

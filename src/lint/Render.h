@@ -61,6 +61,9 @@ void renderText(std::ostream &OS, const std::vector<Diagnostic> &Diags,
 /// One JSON object per line, one line per diagnostic.
 void renderJsonLines(std::ostream &OS, const std::vector<Diagnostic> &Diags);
 
+/// The line renderJsonLines writes for \p D, newline included.
+void renderJsonLine(std::ostream &OS, const Diagnostic &D);
+
 /// A complete SARIF 2.1.0 log (static analysis results interchange
 /// format) with one run.
 void renderSarif(std::ostream &OS, const std::vector<Diagnostic> &Diags);

@@ -25,23 +25,26 @@ const std::string *Document::findResponse(uint64_t Key) {
     if (I != 0)
       std::rotate(Responses.begin(), Responses.begin() + I,
                   Responses.begin() + I + 1);
-    return &Responses.front().ResultJson;
+    return Responses.front().ResultJson.get();
   }
   return nullptr;
 }
 
-void Document::rememberResponse(uint64_t Key, std::string ResultJson) {
-  for (size_t I = 0; I < Responses.size(); ++I) {
-    if (Responses[I].Key != Key)
-      continue;
-    Responses[I].ResultJson = std::move(ResultJson);
-    std::rotate(Responses.begin(), Responses.begin() + I,
-                Responses.begin() + I + 1);
-    return;
-  }
-  Responses.insert(Responses.begin(), {Key, std::move(ResultJson)});
+const std::string &
+Document::rememberResponse(uint64_t Key, uint64_t SourceHash, bool Lint,
+                           std::shared_ptr<const std::string> R) {
+  Responses.erase(std::remove_if(Responses.begin(), Responses.end(),
+                                 [&](const CachedResponse &C) {
+                                   return C.Key == Key ||
+                                          (Lint && C.Lint &&
+                                           C.SourceHash != SourceHash);
+                                 }),
+                  Responses.end());
+  Responses.insert(Responses.begin(),
+                   {Key, SourceHash, Lint, std::move(R)});
   if (Responses.size() > MaxResponses)
     Responses.resize(MaxResponses);
+  return *Responses.front().ResultJson;
 }
 
 void Document::reset() {

@@ -8,9 +8,9 @@
 /// The daemon's cross-request memory: one Document per (tenant, file)
 /// holding every parsed Program version the warm driver still
 /// references, the ProgramAnalysisDriver whose sessions (compiled flow
-/// programs, solutions) stay warm across edits, and
-/// a small LRU of rendered responses keyed by content hash x request
-/// options.
+/// programs, solutions) stay warm across edits, the per-loop lint cache
+/// (serve/LintCache.h), and a small LRU of rendered responses keyed by
+/// content hash x request options.
 ///
 /// Containment model: tenants are hard partitions. Each tenant owns an
 /// LRU list capped at a document quota; inserting past the quota evicts
@@ -33,6 +33,7 @@
 
 #include "driver/ProgramAnalysisDriver.h"
 #include "ir/Program.h"
+#include "serve/LintCache.h"
 
 #include <cstdint>
 #include <list>
@@ -70,17 +71,25 @@ struct Document {
   /// driver's reused sessions keep referencing old versions (the
   /// rerun lifetime rule), so versions are retained until the worker
   /// resets the document (bounded by the server's per-document cap).
-  std::vector<std::unique_ptr<Program>> Programs;
+  /// Shared so the lint cache can hold the version it last linted
+  /// without a copy.
+  std::vector<std::shared_ptr<const Program>> Programs;
 
   /// Warm driver over Programs.back(); null until the first analyzable
   /// request (or after a reset).
   std::unique_ptr<ProgramAnalysisDriver> Driver;
 
+  /// The per-loop lint cache. It holds at most one program version and
+  /// one lint body (shared with Responses), so reset() leaves it be.
+  LintCache Lint;
+
   /// A rendered response memo: Key folds content hash and the
   /// analysis-relevant request options.
   struct CachedResponse {
     uint64_t Key = 0;
-    std::string ResultJson;
+    uint64_t SourceHash = 0;
+    bool Lint = false; ///< a lint or explain result
+    std::shared_ptr<const std::string> ResultJson;
   };
 
   /// Tiny per-document response LRU, most recent first.
@@ -91,8 +100,13 @@ struct Document {
   const std::string *findResponse(uint64_t Key);
 
   /// Inserts (or refreshes) a memoized response, trimming to
-  /// MaxResponses.
-  void rememberResponse(uint64_t Key, std::string ResultJson);
+  /// MaxResponses, and returns the stored result. A lint or explain
+  /// result also erases the lint and explain results of every other
+  /// source hash: an editor lints the text it is on, and a lint of an
+  /// old text recomputes the same bytes. Analyze results keep their LRU.
+  const std::string &rememberResponse(uint64_t Key, uint64_t SourceHash,
+                                      bool Lint,
+                                      std::shared_ptr<const std::string> R);
 
   /// Drops the driver, retained programs, and memos (the bounded-memory
   /// reset path; also what a parse failure leaves behind).

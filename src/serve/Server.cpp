@@ -5,7 +5,6 @@
 #include "driver/ProgramAnalysisDriver.h"
 #include "frontend/Parser.h"
 #include "lint/LintEngine.h"
-#include "lint/Render.h"
 #include "support/FailPoint.h"
 
 #include <atomic>
@@ -14,7 +13,6 @@
 #include <deque>
 #include <initializer_list>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -79,6 +77,16 @@ uint64_t requestOptionsKey(const Request &R, const SolverBudget &B) {
   H = mix(H, R.CrossCheck ? 1 : 0);
   H = mix(H, R.IncludeNested ? 1 : 0);
   H = mix(H, hashBytes(R.ExplainCheck));
+  return mix(H, budgetKey(B));
+}
+
+/// Lint-cache key: everything besides the loops themselves that a
+/// loop's lint output depends on (explain requests bypass the cache).
+uint64_t lintKey(const Request &R, const SolverBudget &B) {
+  uint64_t H = mix(2, static_cast<uint64_t>(R.Engine));
+  H = mix(H, R.CrossCheck ? 1 : 0);
+  H = mix(H, R.IncludeNested ? 1 : 0);
+  H = mix(H, hashBytes(R.File));
   return mix(H, budgetKey(B));
 }
 
@@ -318,25 +326,33 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
                             "serve.session failpoint forced shedding"),
               false};
 
-    std::string ResultJson;
-    std::string ParseError;
+    std::shared_ptr<const std::string> Result;
     if (R.M == Method::Analyze) {
-      ResultJson = analyzeResult(R, Budget, SrcHash, *Doc, ParseError);
-      if (ResultJson.empty())
+      std::string ParseError;
+      std::string Json = analyzeResult(R, Budget, SrcHash, *Doc, ParseError);
+      if (Json.empty())
         return {errorResponse(R.Id, ErrorCode::BadRequest,
                               "parse failed:\n" + ParseError),
                 false};
+      Result = std::make_shared<const std::string>(std::move(Json));
     } else {
-      ResultJson = lintResult(R, Budget);
+      Result = lintResult(R, Budget, SrcHash, *Doc);
     }
-    Doc->rememberResponse(MemoKey, ResultJson);
-    return {okResponseRaw(R.Id, ResultJson), true};
+    const std::string &Stored = Doc->rememberResponse(
+        MemoKey, SrcHash, R.M != Method::Analyze, std::move(Result));
+    return {okResponseRaw(R.Id, Stored), true};
   }
 
-  /// Renders the lint/explain result object. Exactly the single-shot
-  /// pipeline of ardf lint --format=json: lintSource + renderJsonLines,
-  /// so the "render" member is bit-identical to that tool's stdout.
-  std::string lintResult(const Request &R, const SolverBudget &Budget) {
+  /// The lint/explain result object. Its "render" member is exactly the
+  /// single-shot pipeline of ardf lint --format=json (lintSource +
+  /// renderJsonLines), bit-identical to that tool's stdout; the
+  /// document's lint cache re-lints only the loops that changed since
+  /// its last lint. The driver's program and nest serve when the driver
+  /// is on the same text. Caller holds the document mutex.
+  std::shared_ptr<const std::string> lintResult(const Request &R,
+                                                const SolverBudget &Budget,
+                                                uint64_t SrcHash,
+                                                Document &Doc) {
     LintOptions LO;
     LO.Engine = R.Engine;
     LO.CrossCheck = R.CrossCheck;
@@ -344,20 +360,21 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
     LO.Budget = Budget;
     LO.Explain = R.M == Method::Explain;
     LO.ExplainCheck = R.ExplainCheck;
-    LintResult LR = lintSource(R.Source, R.File, LO);
-    std::ostringstream OS;
-    renderJsonLines(OS, LR.Diags);
-    json::Object O;
-    O["render"] = json::Value(OS.str());
-    O["diagnostics"] = jint(LR.Diags.size());
-    O["errors"] = jint(LR.count(DiagSeverity::Error));
-    O["warnings"] = jint(LR.count(DiagSeverity::Warning));
-    O["notes"] = jint(LR.count(DiagSeverity::Note));
-    O["loops"] = jint(LR.LoopsAnalyzed);
-    O["degraded"] = jint(LR.ChecksDegraded);
-    O["divergences"] = jint(LR.EngineDivergences);
-    O["exit"] = jint(LR.hasErrors() ? 1 : 0);
-    return json::Value(std::move(O)).toString();
+    std::shared_ptr<const Program> Prog;
+    std::shared_ptr<const LoopNestTree> Nest;
+    if (Doc.Driver && Doc.SourceHash == SrcHash) {
+      Prog = Doc.Programs.back();
+      Nest = Doc.Driver->sharedNest();
+    } else {
+      ParseResult PR = parseProgram(R.Source);
+      if (!PR.succeeded())
+        return std::make_shared<const std::string>(
+            LintCache::resultOf(lintSource(R.Source, R.File, LO)));
+      Prog = std::make_shared<const Program>(std::move(PR.Prog));
+      Nest = std::make_shared<const LoopNestTree>(*Prog);
+    }
+    return Doc.Lint.lint(std::move(Prog), std::move(Nest), R.File, LO,
+                         lintKey(R, Budget));
   }
 
   /// Runs (or warm-reruns) the driver for an analyze request. Returns
@@ -391,7 +408,7 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
       // driver's whole state is current.
       Warm = true;
     } else if (Doc->Driver) {
-      auto NewProg = std::make_unique<Program>(std::move(PR.Prog));
+      auto NewProg = std::make_shared<const Program>(std::move(PR.Prog));
       DriverRerun RR = Doc->Driver->rerun(*NewProg);
       Doc->Programs.push_back(std::move(NewProg));
       Doc->RetainedBytes += R.Source.size();
@@ -401,7 +418,7 @@ struct AnalysisServer::Core : std::enable_shared_from_this<Core> {
       Reused = RR.Reused;
       Reanalyzed = RR.Reanalyzed;
     } else {
-      auto NewProg = std::make_unique<Program>(std::move(PR.Prog));
+      auto NewProg = std::make_shared<const Program>(std::move(PR.Prog));
       DriverOptions DO;
       DO.IncludeNested = R.IncludeNested;
       DO.Solver.Eng = R.Engine;

@@ -46,13 +46,13 @@ const Value *Value::find(const std::string &Key) const {
 
 namespace {
 
-/// The one JSON string escape behind appendQuoted and quoted(). \p Put
-/// receives the literal in pieces; a run of bytes that need no escape
-/// is handed over whole.
-template <typename PutFn> void writeQuoted(std::string_view S, PutFn Put) {
+/// The one JSON string escape behind appendQuoted, appendEscaped and
+/// quoted(): the literal's contents, without the quotes. \p Put receives
+/// them in pieces; a run of bytes that need no escape is handed over
+/// whole.
+template <typename PutFn> void writeEscaped(std::string_view S, PutFn Put) {
   static const char Hex[] = "0123456789abcdef";
   char U[6] = {'\\', 'u', '0', '0', '0', '0'};
-  Put("\"");
   size_t Run = 0;
   for (size_t I = 0; I != S.size(); ++I) {
     unsigned char C = static_cast<unsigned char>(S[I]);
@@ -85,19 +85,26 @@ template <typename PutFn> void writeQuoted(std::string_view S, PutFn Put) {
     Run = I + 1;
   }
   Put(S.substr(Run));
-  Put("\"");
 }
 
 } // namespace
 
+void json::appendEscaped(std::string &Out, std::string_view S) {
+  writeEscaped(S, [&Out](std::string_view Piece) { Out.append(Piece); });
+}
+
 void json::appendQuoted(std::string &Out, std::string_view S) {
-  writeQuoted(S, [&Out](std::string_view Piece) { Out.append(Piece); });
+  Out.push_back('"');
+  appendEscaped(Out, S);
+  Out.push_back('"');
 }
 
 std::ostream &json::operator<<(std::ostream &OS, Quoted Q) {
-  writeQuoted(Q.S, [&OS](std::string_view Piece) {
+  OS.put('"');
+  writeEscaped(Q.S, [&OS](std::string_view Piece) {
     OS.write(Piece.data(), static_cast<std::streamsize>(Piece.size()));
   });
+  OS.put('"');
   return OS;
 }
 

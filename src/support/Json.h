@@ -115,6 +115,10 @@ ParseOutcome parse(std::string_view Text, unsigned MaxDepth = DefaultMaxDepth);
 /// lowercase `\u00xx`. Every other byte is copied as is.
 void appendQuoted(std::string &Out, std::string_view S);
 
+/// appendQuoted without the quotes: the escaped contents alone, for a
+/// literal assembled from several pieces.
+void appendEscaped(std::string &Out, std::string_view S);
+
 /// Stream form of appendQuoted, for writers that render straight into
 /// an ostream: `OS << json::quoted(S)` writes the same bytes with no
 /// intermediate string.

@@ -180,8 +180,9 @@ TEST(DriverIncrementalTest, RerunBeforeRunRunsTheInitialBatch) {
 
 TEST(DriverIncrementalTest, WhileLoopsDiffStructurally) {
   // rerun() diffs on the SOURCE statements (While::equals / structural
-  // equality), not the reduced forms: an unchanged while program must
-  // reuse everything, and editing one while must re-analyze only it.
+  // equality) as well as the reduced forms: an unchanged while program
+  // must reuse everything, and editing one while must re-analyze only
+  // it.
   auto WhileSource = [](int EditedOffset) {
     std::ostringstream OS;
     OS << "array A[200];\n";
@@ -217,6 +218,34 @@ TEST(DriverIncrementalTest, WhileLoopsDiffStructurally) {
   EXPECT_EQ(Diff.Reused, 1u);
   EXPECT_EQ(Diff.Reanalyzed, 1u);
   EXPECT_NE(Driver.loops()[0].Session.get(), WhileSession);
+
+  ProgramAnalysisDriver Cold(Edited, packedOptions());
+  Cold.run();
+  expectSameSolutions(Driver, Cold);
+}
+
+TEST(DriverIncrementalTest, WhileInitEditReanalyzesTheWhile) {
+  // The `i = lo` init sits outside the while statement, so the source
+  // statements of the two versions are equal; the reduced forms (and the
+  // trip count) are not, and only they tell the edit apart.
+  auto WhileSource = [](int Init) {
+    std::ostringstream OS;
+    OS << "array A[200];\n"
+       << "i = " << Init << ";\n"
+       << "while (i <= 50) {\n"
+       << "  A[i+2] = A[i] + 1;\n"
+       << "  i = i + 1;\n"
+       << "}\n"
+       << "do k = 1, 40 { A[k+2] = A[k]; }\n";
+    return OS.str();
+  };
+  Program A = parseOrDie(WhileSource(1));
+  Program Edited = parseOrDie(WhileSource(49));
+  ProgramAnalysisDriver Driver(A, packedOptions());
+  Driver.run();
+  DriverRerun Diff = Driver.rerun(Edited);
+  EXPECT_EQ(Diff.Reused, 1u);
+  EXPECT_EQ(Diff.Reanalyzed, 1u);
 
   ProgramAnalysisDriver Cold(Edited, packedOptions());
   Cold.run();

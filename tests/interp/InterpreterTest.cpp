@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace ardf;
 
 TEST(InterpreterTest, SimpleLoopComputes) {
@@ -112,4 +114,24 @@ TEST(InterpreterTest, MachineStateEquality) {
   A.run();
   B.run();
   EXPECT_EQ(A.state().Arrays, B.state().Arrays);
+}
+
+TEST(InterpreterTest, ArithmeticWrapsOnOverflow) {
+  // Two's-complement wraparound, not undefined behaviour: the sanitizer
+  // build runs this test.
+  Program P = parseOrDie("a = x + 1; b = x * 2; c = m - 1; d = -m; "
+                         "e = m / q; f = x * x;");
+  Interpreter I(P);
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  I.setScalar("x", Max);
+  I.setScalar("m", Min);
+  I.setScalar("q", -1);
+  I.run();
+  EXPECT_EQ(I.scalar("a"), Min);
+  EXPECT_EQ(I.scalar("b"), -2);
+  EXPECT_EQ(I.scalar("c"), Max);
+  EXPECT_EQ(I.scalar("d"), Min);
+  EXPECT_EQ(I.scalar("e"), Min);
+  EXPECT_EQ(I.scalar("f"), 1);
 }
