@@ -188,7 +188,7 @@ void BM_CompileFlowProgram(benchmark::State &State) {
       Session.instance(ProblemSpec::mustReachingDefs());
   for (auto _ : State) {
     CompiledFlowProgram CF = CompiledFlowProgram::compile(FW);
-    benchmark::DoNotOptimize(CF.Preserve.data());
+    benchmark::DoNotOptimize(CF.Preserve.get());
   }
 }
 BENCHMARK(BM_CompileFlowProgram)->Arg(32)->Arg(512);

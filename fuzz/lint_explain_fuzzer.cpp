@@ -5,16 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Drives the full lint pipeline with remarks enabled (the --explain
-/// path: provenance re-solve, bit-identity cross-check, derivation
-/// build, all three renderers) over arbitrary bytes. The contract under
-/// malformed input is degrade-only:
+/// Drives the full lint pipeline with remarks and the engine
+/// cross-check enabled (the --explain --cross-check path: provenance
+/// re-solve, bit-identity cross-check, derivation build, all three
+/// renderers) over arbitrary bytes. The contract under malformed input
+/// is degrade-only:
 ///
 ///   1. lintSource with Explain set never crashes or throws (enforced
 ///      by the fuzzer process plus its sanitizers),
-///   2. every attached evidence trail is non-empty and its embedded
+///   2. the two engines never diverge (EngineDivergences stays 0; a
+///      degraded solve is reported as degraded, not as divergence),
+///   3. every attached evidence trail is non-empty and its embedded
 ///      derivation JSON is brace-delimited,
-///   3. the renderers accept whatever diagnostics came back -- the
+///   4. the renderers accept whatever diagnostics came back -- the
 ///      text, JSON-lines, and SARIF writers must not trip on evidence
 ///      attached to recovered partial programs.
 ///
@@ -46,12 +49,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
 
   LintOptions Opts;
   Opts.Explain = true;
+  Opts.CrossCheck = true;
   Opts.Engine = (Sel & 1) ? SolverOptions::Engine::PackedKernel
                           : SolverOptions::Engine::Reference;
   if (Sel & 4)
     Opts.ExplainCheck = "cross-iteration-conflict";
 
   LintResult R = lintSource(Source, "fuzz.arf", Opts);
+  if (R.EngineDivergences != 0)
+    __builtin_trap(); // the packed kernel must match the reference bit for bit
 
   for (const Diagnostic &D : R.Diags) {
     if (D.hasEvidence()) {

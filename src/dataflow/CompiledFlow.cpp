@@ -5,7 +5,6 @@
 #include "cfg/LoopFlowGraph.h"
 #include "telemetry/Telemetry.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace ardf;
@@ -41,42 +40,12 @@ CompiledFlowProgram CompiledFlowProgram::compile(const FrameworkInstance &FW) {
   }
   CF.PredOffsets[CF.NumNodes] = static_cast<uint32_t>(CF.Preds.size());
 
-  // Dense packed preserve constants plus the sparse generate patch
-  // lists (a statement generates only for the classes it references, so
-  // the generate side of the transfer is a few cells per node).
-  CF.Preserve.resize(CF.cells());
-  CF.GenOffsets.resize(CF.NumNodes + 1, 0);
-  for (unsigned Node = 0; Node != CF.NumNodes; ++Node) {
-    CF.GenOffsets[Node] = static_cast<uint32_t>(CF.GenCols.size());
-    size_t Row = static_cast<size_t>(Node) * CF.NumTracked;
-    for (unsigned Idx = 0; Idx != CF.NumTracked; ++Idx) {
-      CF.Preserve[Row + Idx] = packed::pack(FW.preserveAt(Idx, Node));
-      if (FW.generatesAt(Idx, Node)) {
-        CF.GenCols.push_back(Idx);
-        CF.GenQ.push_back(packed::pack(FW.preserveAfterGen(Idx, Node)));
-      }
-    }
-  }
-  CF.GenOffsets[CF.NumNodes] = static_cast<uint32_t>(CF.GenCols.size());
-
-  // Decide cell narrowing from the constants alone: reachable values
-  // are bounded by the constants (meets and clamps never exceed their
-  // operands, the increment saturates at IncBound), so narrowable
-  // constants imply a narrowable fixed point. An unknown trip count
-  // leaves IncBound at AllInstances, where the increment's saturation
-  // no longer commutes with the map -- such programs stay wide.
-  CF.Narrow32 = CF.IncBound != packed::AllInstances &&
-                packed::narrowable(CF.IncBound) &&
-                std::all_of(CF.Preserve.begin(), CF.Preserve.end(),
-                            packed::narrowable) &&
-                std::all_of(CF.GenQ.begin(), CF.GenQ.end(),
-                            packed::narrowable);
-  if (CF.Narrow32) {
-    CF.Preserve32.resize(CF.Preserve.size());
-    std::transform(CF.Preserve.begin(), CF.Preserve.end(),
-                   CF.Preserve32.begin(),
-                   [](uint64_t V) { return packed::narrow(V); });
-  }
+  // The dense preserve rows are the instance's; the generate side of
+  // the transfer is a few sparse cells per node.
+  CF.Preserve = FW.preserveRows();
+  CF.GenOffsets = FW.genOffsets();
+  CF.GenCols = FW.genCols();
+  CF.GenQ = FW.genQ();
 
   if (Telem) {
     Telem->add(telem::Counter::FlowCompiles);

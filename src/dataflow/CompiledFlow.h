@@ -9,7 +9,9 @@
 /// the kernel solver can sweep without a single data-dependent branch:
 ///
 ///   * the packed preserve constant per (node, tracked) cell in
-///     row-major NumNodes x NumTracked layout,
+///     row-major NumNodes x NumTracked layout -- the instance's own
+///     PreserveRows, shared rather than copied, so the N x T constants
+///     exist once however many programs are lowered from an instance,
 ///   * the generating cells as a sparse per-node patch list (CSR:
 ///     column + packed post-generation preserve constant) — a
 ///     statement generates for the handful of classes it references,
@@ -34,6 +36,7 @@
 /// isomorphism that commutes with every operator (see DESIGN.md §8);
 /// the kernel solver unpacks bit-identical DistanceMatrix results.
 ///
+/// Lowering copies only the O(nodes + edges + generating cells) tables.
 /// Compile once per instance (LoopAnalysisSession memoizes), then solve
 /// any number of times through a SolveWorkspace with zero allocation.
 ///
@@ -46,14 +49,15 @@
 #include "lattice/PackedDistance.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace ardf {
 
 /// One FrameworkInstance lowered to flat packed tables (see file
-/// comment). Plain data: cheap to move, trivially shareable read-only
-/// across threads once built.
+/// comment). Plain data plus the shared read-only preserve rows: cheap
+/// to move, trivially shareable read-only across threads once built.
 struct CompiledFlowProgram {
   unsigned NumNodes = 0;
   unsigned NumTracked = 0;
@@ -81,8 +85,12 @@ struct CompiledFlowProgram {
   std::vector<uint32_t> Preds;
 
   /// Row-major NumNodes x NumTracked packed preserve constants
-  /// (pack(preserveAt), min-applied to every non-exit cell).
-  std::vector<uint64_t> Preserve;
+  /// (pack(preserveAt), min-applied to every non-exit cell), owned
+  /// jointly with the instance; narrowed to uint32_t cells exactly when
+  /// every packed constant of the program (these, GenQ and IncBound)
+  /// narrows. The kernel then sweeps uint32_t matrices -- half the
+  /// memory traffic -- and still unpacks bit-identical results.
+  std::shared_ptr<const PreserveRows> Preserve;
 
   /// Generating cells of node n, sparse and CSR by node id: columns
   /// GenCols[GenOffsets[n] .. GenOffsets[n+1]) with the matching packed
@@ -90,16 +98,6 @@ struct CompiledFlowProgram {
   std::vector<uint32_t> GenOffsets;
   std::vector<uint32_t> GenCols;
   std::vector<uint64_t> GenQ;
-
-  /// True when every packed constant (IncBound, Preserve, GenQ) is
-  /// narrowable to 32-bit cells (see PackedDistance.h); the kernel then
-  /// sweeps uint32_t matrices -- half the memory traffic -- and still
-  /// unpacks bit-identical results. Loop distances are bounded by trip
-  /// counts, so in practice only unknown-trip programs stay wide.
-  bool Narrow32 = false;
-
-  /// Narrowed image of Preserve, filled exactly when Narrow32.
-  std::vector<uint32_t> Preserve32;
 
   /// Display name of the lowered problem (telemetry span labels).
   std::string ProblemName;
@@ -115,8 +113,11 @@ struct CompiledFlowProgram {
     return static_cast<size_t>(NumNodes) * NumTracked;
   }
 
-  /// Lowers \p FW. The program captures everything the solver needs; it
-  /// does not alias FW and may outlive it.
+  /// True when the kernel solves in uint32_t cells (see Preserve).
+  bool narrow32() const { return Preserve->Narrow32; }
+
+  /// Lowers \p FW. The program shares FW's preserve rows and copies
+  /// everything else it needs; it may outlive FW.
   static CompiledFlowProgram compile(const FrameworkInstance &FW);
 };
 

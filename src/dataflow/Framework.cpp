@@ -173,9 +173,22 @@ void FrameworkInstance::computePr() {
 void FrameworkInstance::computePreserves() {
   unsigned N = Graph->getNumNodes();
   unsigned T = Groups.size();
-  int64_t Trip = TripCount;
-  Preserve.assign(size_t(N) * T, DistanceValue::allInstances());
-  PreserveAfter.assign(GenCols.size(), DistanceValue::allInstances());
+  auto Out = std::make_shared<PreserveRows>();
+  // Cells start narrow whenever the exit increment's bound narrows (an
+  // unknown trip count leaves it at AllInstances, where the increment's
+  // saturation no longer commutes with narrowing), and widen once if a
+  // node's finished constants do not narrow. Reachable values are
+  // bounded by the constants (meets and clamps never exceed their
+  // operands, the increment saturates at the bound), so narrowable
+  // constants imply a narrowable fixed point.
+  uint64_t IncBound = packed::incrementBound(TripCount);
+  Out->Narrow32 =
+      IncBound != packed::AllInstances && packed::narrowable(IncBound);
+  if (Out->Narrow32)
+    Out->Narrow.resize(size_t(N) * T);
+  else
+    Out->Wide.resize(size_t(N) * T);
+  GenQ.assign(GenCols.size(), packed::AllInstances);
 
   // Micro-position of an occurrence within its statement, in working
   // execution order: forward problems execute uses (0) before the def
@@ -189,10 +202,11 @@ void FrameworkInstance::computePreserves() {
   for (unsigned Idx = 0; Idx != T; ++Idx)
     TrackedClass[Idx] = Universe->accessClass(Groups[Idx].front());
   // While a node is processed, CellOf maps each column it generates to
-  // its generating cell, and FirstGenPos holds that cell's earliest
-  // member micro-position.
+  // its generating cell, FirstGenPos holds that cell's earliest member
+  // micro-position, and Row collects the node's packed constants.
   std::vector<int> CellOf(T, -1);
   std::vector<unsigned> FirstGenPos(GenCols.size(), 2);
+  std::vector<packed::PackedDistance> Row(T);
   uint64_t NumClasses = Universe->numAccessClasses();
   uint64_t Hits = 0, Misses = 0;
 
@@ -204,6 +218,7 @@ void FrameworkInstance::computePreserves() {
         unsigned &First = FirstGenPos[CellOf[Idx]];
         First = std::min(First, microPos(Universe->occurrence(OccId)));
       }
+    std::fill(Row.begin(), Row.end(), packed::AllInstances);
 
     for (unsigned KillId : Universe->occurrencesAt(Node)) {
       const RefOccurrence &Killer = Universe->occurrence(KillId);
@@ -233,33 +248,51 @@ void FrameworkInstance::computePreserves() {
                 8 +
             uint64_t(EffPr) * 4 + uint64_t(Spec.isMust()) * 2 +
             uint64_t(Spec.isBackward());
-        auto [CacheIt, Inserted] =
-            Cache->Map.try_emplace(Key, DistanceValue::noInstance());
+        auto [CacheIt, Inserted] = Cache->Map.try_emplace(Key, 0);
         if (Inserted) {
           ++Misses;
           PreserveQuery Q;
           Q.Preserved = &*getTracked(Idx).Affine;
           Q.Killer = Killer.KillsWholeArray ? nullptr : &*Killer.Affine;
           Q.Pr = EffPr;
-          Q.TripCount = Trip;
+          Q.TripCount = TripCount;
           Q.Mode = Spec.Mode;
           Q.Direction = Spec.Direction;
-          CacheIt->second = computePreserveConstant(Q);
+          CacheIt->second = packed::pack(computePreserveConstant(Q));
         } else {
           ++Hits;
         }
-        DistanceValue P = CacheIt->second;
         // Several killers compose; surviving instances must survive
-        // each of them.
-        DistanceValue &Slot = AfterGen ? PreserveAfter[Cell]
-                                       : Preserve[size_t(Node) * T + Idx];
-        Slot = DistanceValue::min(Slot, P);
+        // each of them. pack is an order isomorphism, so the packed
+        // minimum is the lattice minimum.
+        packed::PackedDistance &Slot = AfterGen ? GenQ[Cell] : Row[Idx];
+        Slot = std::min(Slot, CacheIt->second);
       }
     }
 
     for (unsigned K = GenOffsets[Node]; K != GenOffsets[Node + 1]; ++K)
       CellOf[GenCols[K]] = -1;
+
+    // The node's constants are final: store the row at cell width.
+    size_t Base = size_t(Node) * T;
+    if (Out->Narrow32 &&
+        !(std::all_of(Row.begin(), Row.end(), packed::narrowable) &&
+          std::all_of(GenQ.begin() + GenOffsets[Node],
+                      GenQ.begin() + GenOffsets[Node + 1],
+                      packed::narrowable))) {
+      Out->Wide.resize(size_t(N) * T);
+      for (size_t C = 0; C != Base; ++C)
+        Out->Wide[C] = packed::widen(Out->Narrow[C]);
+      Out->Narrow = {};
+      Out->Narrow32 = false;
+    }
+    if (Out->Narrow32)
+      std::transform(Row.begin(), Row.end(), Out->Narrow.begin() + Base,
+                     packed::narrow);
+    else
+      std::copy(Row.begin(), Row.end(), Out->Wide.begin() + Base);
   }
+  Rows = std::move(Out);
 
   // One telemetry update per instance rather than per probe.
   Cache->Hits += Hits;
@@ -277,7 +310,7 @@ DistanceValue FrameworkInstance::preserveAfterGen(unsigned Idx,
   auto It = std::lower_bound(Begin, End, Idx);
   if (It == End || *It != Idx)
     return DistanceValue::allInstances();
-  return PreserveAfter[It - GenCols.begin()];
+  return packed::unpack(GenQ[It - GenCols.begin()]);
 }
 
 DistanceValue FrameworkInstance::applyNode(unsigned Node, unsigned Idx,

@@ -29,7 +29,10 @@
 /// Two solver engines share this interface (SolverOptions::Engine): the
 /// scalar Reference solver below, and the branch-free PackedKernel
 /// solver over a lowered CompiledFlowProgram (CompiledFlow.h), which
-/// produces bit-identical results.
+/// produces bit-identical results. The instance stores its dense
+/// preserve constants once, as the packed rows the kernel sweeps
+/// (PreserveRows); the reference solver reads them through preserveAt,
+/// which unpacks, so its lattice arithmetic stays scalar.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +44,7 @@
 #include "dataflow/Problem.h"
 #include "dataflow/SolverBudget.h"
 #include "lattice/Distance.h"
+#include "lattice/PackedDistance.h"
 
 #include <cstdint>
 #include <memory>
@@ -125,9 +129,10 @@ struct SolverOptions {
   };
 
   enum class Engine {
-    /// The scalar DistanceValue solver (the executable specification).
+    /// The scalar DistanceValue solver (the executable specification,
+    /// and the oracle the packed kernel is checked against).
     Reference,
-    /// The branch-free packed-uint64 kernel over a CompiledFlowProgram
+    /// The branch-free packed kernel over a CompiledFlowProgram
     /// (bit-identical results; see CompiledFlow.h). Its row operations
     /// run on the runtime-dispatched VectorOps backend
     /// (dataflow/VectorOps.h) of the host's ISA tier. Through a
@@ -206,9 +211,33 @@ public:
 
 private:
   friend class FrameworkInstance;
-  std::unordered_map<uint64_t, DistanceValue> Map;
+  /// Packed constants (PackedDistance.h), keyed as computePreserves
+  /// describes.
+  std::unordered_map<uint64_t, packed::PackedDistance> Map;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
+};
+
+/// The dense preserve constants of one instance, stored once: row-major
+/// NumNodes x NumTracked packed cells (PackedDistance.h), the constant
+/// min-applied to each non-exit cell. The cells are narrowed to
+/// uint32_t exactly when every packed constant of the instance
+/// narrows -- these rows, the post-generation constants and the exit
+/// increment's bound -- so the kernel may sweep 4-byte cells; since
+/// loop distances are bounded by trip counts, in practice only
+/// unknown-trip loops stay wide. Shared (not copied) by the instance
+/// and its CompiledFlowProgram, so either may outlive the other.
+struct PreserveRows {
+  bool Narrow32 = false;
+  /// Filled exactly when Narrow32.
+  std::vector<uint32_t> Narrow;
+  /// Filled exactly when !Narrow32.
+  std::vector<uint64_t> Wide;
+
+  /// The packed constant of row-major cell \p Cell.
+  packed::PackedDistance at(size_t Cell) const {
+    return Narrow32 ? packed::widen(Narrow[Cell]) : Wide[Cell];
+  }
 };
 
 /// Reusable solve buffers: repeated solveDataFlow calls through one
@@ -241,8 +270,8 @@ private:
   /// Packed row-major IN/OUT buffers of the kernel engine, plus its
   /// one-row scratch buffer (IN rows of non-final passes and old-OUT
   /// snapshots of change-tracked passes never leave it). Programs whose
-  /// constants narrow (CompiledFlowProgram::Narrow32) solve in the
-  /// uint32_t set instead; both sets persist so a workspace can
+  /// constants narrow (PreserveRows::Narrow32) solve in the uint32_t
+  /// set instead; both sets persist so a workspace can
   /// alternate widths without reallocating.
   std::vector<uint64_t> PackedIn;
   std::vector<uint64_t> PackedOut;
@@ -347,10 +376,24 @@ public:
   /// The preserve constant applied to tracked reference \p Idx at node
   /// \p Node (AllInstances when the node contains no killer for it).
   /// At the generating node itself this is the pre-generation phase; see
-  /// preserveAfterGen.
+  /// preserveAfterGen. Unpacked from the shared packed rows.
   DistanceValue preserveAt(unsigned Idx, unsigned Node) const {
-    return Preserve[Node * Groups.size() + Idx];
+    return packed::unpack(Rows->at(size_t(Node) * Groups.size() + Idx));
   }
+
+  /// The dense preserve constants in the packed form the kernel solves
+  /// on (shared with every CompiledFlowProgram lowered from here).
+  const std::shared_ptr<const PreserveRows> &preserveRows() const {
+    return Rows;
+  }
+
+  /// The generating cells, CSR by node: columns
+  /// genCols()[genOffsets()[n] .. genOffsets()[n+1]), ascending per
+  /// node, with the matching packed post-generation constants in
+  /// genQ().
+  const std::vector<uint32_t> &genOffsets() const { return GenOffsets; }
+  const std::vector<uint32_t> &genCols() const { return GenCols; }
+  const std::vector<packed::PackedDistance> &genQ() const { return GenQ; }
 
   /// Within one statement, uses execute before the definition. A killer
   /// positioned after the generation point of tracked reference \p Idx
@@ -413,13 +456,13 @@ private:
   std::vector<char> GenAt;
   /// pr(d, n) per (Idx, Node); values are 0 and 1 only.
   std::vector<uint8_t> Pr;
-  std::vector<DistanceValue> Preserve;
-  /// Post-generation constants of the generating cells only, CSR by
-  /// node: PreserveAfter[k] belongs to column GenCols[k], k in
+  std::shared_ptr<const PreserveRows> Rows;
+  /// Packed post-generation constants of the generating cells only,
+  /// CSR by node: GenQ[k] belongs to column GenCols[k], k in
   /// [GenOffsets[n], GenOffsets[n+1]), columns ascending per node.
-  std::vector<unsigned> GenOffsets;
-  std::vector<unsigned> GenCols;
-  std::vector<DistanceValue> PreserveAfter;
+  std::vector<uint32_t> GenOffsets;
+  std::vector<uint32_t> GenCols;
+  std::vector<packed::PackedDistance> GenQ;
 };
 
 /// Solves the equation system of \p FW (Section 3.2).

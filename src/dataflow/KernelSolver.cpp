@@ -15,8 +15,8 @@
 // The engine exists to win the memory-bandwidth game the reference
 // solver loses at large shapes, so the pass loop is frugal with bytes:
 // cells are 8B instead of 16B -- or 4B when the program's constants
-// narrow (CompiledFlowProgram::Narrow32; the solvers below are
-// templated over the cell type) -- the IN rows of non-final passes live
+// narrow (PreserveRows::Narrow32; the solvers below are templated over
+// the cell type) -- the IN rows of non-final passes live
 // in a one-row scratch buffer (nothing ever reads them again), and the
 // buffers are reshaped without refilling between warm solves (every
 // cell the result exposes is written before it is read).
@@ -47,18 +47,18 @@ template <> struct CellTraits<uint64_t> {
   static const Ops &ops() { return simd::rowOps(); }
   static uint64_t constant(uint64_t C) { return C; }
   static const uint64_t *preserve(const CompiledFlowProgram &P) {
-    return P.Preserve.data();
+    return P.Preserve->Wide.data();
   }
 };
 
 template <> struct CellTraits<uint32_t> {
   using Ops = simd::RowOps32;
   static const Ops &ops() { return simd::rowOps32(); }
-  // Pre: narrowable -- compile() only sets Narrow32 after vetting every
-  // packed constant.
+  // Pre: narrowable -- the instance only narrows its rows after
+  // vetting every packed constant.
   static uint32_t constant(uint64_t C) { return packed::narrow(C); }
   static const uint32_t *preserve(const CompiledFlowProgram &P) {
-    return P.Preserve32.data();
+    return P.Preserve->Narrow.data();
   }
 };
 
@@ -378,7 +378,7 @@ SolveResult ardf::solveCompiled(const CompiledFlowProgram &CF,
   SolveResult Result;
   bool SkipPacked = Opts.Budget.MaxMatrixCells != 0 &&
                     CF.cells() > Opts.Budget.MaxMatrixCells;
-  if (CF.Narrow32) {
+  if (CF.narrow32()) {
     std::vector<uint32_t> InBuf, OutBuf, ScratchBuf;
     resetKernel(Result, InBuf, OutBuf, ScratchBuf, CF, Opts, SkipPacked);
     runKernel(CF, Opts, Result, InBuf, OutBuf, ScratchBuf);
@@ -395,7 +395,7 @@ const SolveResult &ardf::solveCompiled(const CompiledFlowProgram &CF,
                                        const SolverOptions &Opts) {
   bool SkipPacked = Opts.Budget.MaxMatrixCells != 0 &&
                     CF.cells() > Opts.Budget.MaxMatrixCells;
-  if (CF.Narrow32) {
+  if (CF.narrow32()) {
     if (resetKernel(WS.Result, WS.PackedIn32, WS.PackedOut32,
                     WS.PackedScratch32, CF, Opts, SkipPacked))
       ++WS.Growths;

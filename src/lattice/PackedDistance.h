@@ -138,8 +138,8 @@ constexpr bool covers(PackedDistance X, int64_t Delta) {
 // unpacks to bit-identical DistanceValue matrices. Values reachable
 // during iteration never leave the image: meets and clamps are bounded
 // by their operands and the increment saturates at the (narrowable)
-// bound, which is why CompiledFlowProgram::compile can decide
-// narrowability from the constants alone (see Narrow32).
+// bound, which is why FrameworkInstance can decide narrowability from
+// the constants alone (see PreserveRows::Narrow32).
 //===----------------------------------------------------------------------===//
 
 /// A narrowed packed chain-lattice element.

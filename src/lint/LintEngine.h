@@ -10,10 +10,11 @@
 /// normalized, analyzable loop. One LoopAnalysisSession per loop is
 /// shared by all checks, so the loop's flow graph, reference universe,
 /// and any problem instance two checks have in common are built and
-/// solved exactly once. With CrossCheck enabled every problem is
-/// additionally solved by BOTH solver engines and any divergence is
-/// reported as an internal-consistency error -- a permanent static
-/// oracle for the packed kernel solver.
+/// solved exactly once, by the packed kernel engine unless the options
+/// name the reference engine. With CrossCheck enabled (off by default)
+/// every problem is additionally solved by BOTH solver engines and any
+/// divergence is reported as an internal-consistency error -- the
+/// engine oracle, opt-in because it costs a second, scalar solve.
 ///
 /// \code
 ///   LintResult R = lintSource(Text, "fig1.arf");
@@ -39,12 +40,13 @@ struct NestLoop;
 
 /// Lint engine configuration.
 struct LintOptions {
-  /// Primary solver engine every check solves with.
-  SolverOptions::Engine Engine = SolverOptions::Engine::Reference;
+  /// Primary solver engine every check solves with: the packed kernel
+  /// by default, the reference engine on request.
+  SolverOptions::Engine Engine = SolverOptions::Engine::PackedKernel;
 
-  /// Solve each problem with both engines and report divergence as an
-  /// engine-divergence error diagnostic.
-  bool CrossCheck = true;
+  /// Opt-in engine oracle: solve each problem with both engines and
+  /// report divergence as an engine-divergence error diagnostic.
+  bool CrossCheck = false;
 
   /// Also lint nested loops (each with respect to its own induction
   /// variable).

@@ -79,8 +79,11 @@ struct Request {
   /// Program text (analyze/lint/explain).
   std::string Source;
 
-  SolverOptions::Engine Engine = SolverOptions::Engine::Reference;
-  bool CrossCheck = true;
+  /// "engine": the packed kernel unless the request names "reference".
+  SolverOptions::Engine Engine = SolverOptions::Engine::PackedKernel;
+  /// "cross_check": lint also solves with both engines and reports any
+  /// divergence; opt-in with true.
+  bool CrossCheck = false;
   bool IncludeNested = true;
   std::string ExplainCheck;
 

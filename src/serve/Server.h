@@ -82,9 +82,6 @@ struct ServeOptions {
 
   /// Server-wide solver ceilings; requests may only tighten them.
   SolverBudget Budget;
-
-  /// Engine used when a request names none.
-  SolverOptions::Engine Engine = SolverOptions::Engine::Reference;
 };
 
 /// The transport-agnostic request engine.

@@ -153,9 +153,10 @@ TEST(KernelSolverTest, WorkspaceAndFreshSolvesAgree) {
 }
 
 TEST(KernelSolverTest, NarrowAndWideCellPathsSplitOnTripCount) {
-  // Bounded trip counts narrow every packed constant, so the compiled
+  // Bounded trip counts narrow every packed constant, so the instance
+  // stores its one preserve image in uint32_t cells and the compiled
   // program takes the uint32_t kernel; an unknown trip count leaves
-  // IncBound at AllInstances and must stay on the uint64_t kernel.
+  // IncBound at AllInstances and must stay on uint64_t cells.
   // Both paths share one workspace (alternating widths) and both must
   // match the reference engine bit for bit.
   const char *Bounded = HandCorpus[0];
@@ -165,15 +166,19 @@ TEST(KernelSolverTest, NarrowAndWideCellPathsSplitOnTripCount) {
     LoopFlowGraph GB(*PB.getFirstLoop());
     FrameworkInstance FB(GB, PB, Spec);
     CompiledFlowProgram CFB = CompiledFlowProgram::compile(FB);
-    EXPECT_TRUE(CFB.Narrow32) << Spec.Name;
-    EXPECT_EQ(CFB.Preserve32.size(), CFB.Preserve.size()) << Spec.Name;
+    EXPECT_TRUE(CFB.narrow32()) << Spec.Name;
+    EXPECT_EQ(CFB.Preserve, FB.preserveRows()) << Spec.Name;
+    EXPECT_EQ(CFB.Preserve->Narrow.size(), CFB.cells()) << Spec.Name;
+    EXPECT_TRUE(CFB.Preserve->Wide.empty()) << Spec.Name;
 
     Program PU = parseOrDie(Unknown);
     LoopFlowGraph GU(*PU.getFirstLoop());
     FrameworkInstance FU(GU, PU, Spec);
     CompiledFlowProgram CFU = CompiledFlowProgram::compile(FU);
-    EXPECT_FALSE(CFU.Narrow32) << Spec.Name;
-    EXPECT_TRUE(CFU.Preserve32.empty()) << Spec.Name;
+    EXPECT_FALSE(CFU.narrow32()) << Spec.Name;
+    EXPECT_EQ(CFU.Preserve, FU.preserveRows()) << Spec.Name;
+    EXPECT_EQ(CFU.Preserve->Wide.size(), CFU.cells()) << Spec.Name;
+    EXPECT_TRUE(CFU.Preserve->Narrow.empty()) << Spec.Name;
 
     SolveResult RefB = solveDataFlow(FB, referenceOpts());
     SolveResult RefU = solveDataFlow(FU, referenceOpts());
@@ -217,7 +222,8 @@ TEST(KernelSolverTest, SessionMemoizesCompiledProgramsPerInstance) {
 }
 
 TEST(KernelSolverTest, CompiledProgramOutlivesInstance) {
-  // compile() copies everything it needs out of the instance.
+  // compile() shares the instance's preserve rows and copies the rest,
+  // so the program stays valid after the instance is gone.
   Program P = parseOrDie(HandCorpus[0]);
   LoopFlowGraph Graph(*P.getFirstLoop());
   SolveResult Ref;

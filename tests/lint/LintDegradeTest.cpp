@@ -42,7 +42,9 @@ protected:
 } // namespace
 
 TEST_F(LintDegradeTest, CleanRunHasNoDegradedChecks) {
-  LintResult R = lintSource(Fig1, "fig1.arf");
+  LintOptions Opts;
+  Opts.CrossCheck = true;
+  LintResult R = lintSource(Fig1, "fig1.arf", Opts);
   EXPECT_EQ(R.ChecksDegraded, 0u);
   EXPECT_EQ(countCheckId(R, checkid::AnalysisDegraded), 0u);
   EXPECT_EQ(R.EngineDivergences, 0u);
@@ -52,6 +54,7 @@ TEST_F(LintDegradeTest, CleanRunHasNoDegradedChecks) {
 TEST_F(LintDegradeTest, BudgetBreachSkipsEveryFrameworkCheck) {
   LintOptions Opts;
   Opts.Budget.MaxNodeVisits = 1;
+  Opts.CrossCheck = true;
   LintResult R = lintSource(Fig1, "fig1.arf");
   LintResult Tight = lintSource(Fig1, "fig1.arf", Opts);
 
@@ -136,14 +139,22 @@ TEST_F(LintDegradeTest, CrossCheckGatesOnEitherEngineDegrading) {
   // other's during the cross-check; that must surface as a degraded
   // cross-check, never as a (spurious) divergence error. Sweep the
   // ordinal so the breach lands at several different pass boundaries,
-  // including inside the packed re-solves of the cross-check phase.
-  for (uint64_t FireAt : {1u, 4u, 8u, 13u, 17u, 20u, 23u}) {
-    failpoint::ScopedFailPoint FP("solver.pass", failpoint::Action::Breach,
-                                  FireAt);
-    LintResult R = lintSource(Fig1, "fig1.arf");
-    EXPECT_EQ(R.EngineDivergences, 0u) << "FireAt=" << FireAt;
-    EXPECT_EQ(countCheckId(R, checkid::EngineDivergence), 0u)
-        << "FireAt=" << FireAt;
-    EXPECT_FALSE(R.hasErrors()) << "FireAt=" << FireAt;
+  // including inside the re-solves of the cross-check phase, with
+  // either engine primary.
+  LintOptions Opts;
+  Opts.CrossCheck = true;
+  for (SolverOptions::Engine Eng : {SolverOptions::Engine::Reference,
+                                    SolverOptions::Engine::PackedKernel}) {
+    Opts.Engine = Eng;
+    for (uint64_t FireAt : {1u, 4u, 8u, 13u, 17u, 20u, 23u}) {
+      failpoint::ScopedFailPoint FP("solver.pass", failpoint::Action::Breach,
+                                    FireAt);
+      LintResult R = lintSource(Fig1, "fig1.arf", Opts);
+      EXPECT_EQ(R.EngineDivergences, 0u)
+          << engineName(Eng) << " FireAt=" << FireAt;
+      EXPECT_EQ(countCheckId(R, checkid::EngineDivergence), 0u)
+          << engineName(Eng) << " FireAt=" << FireAt;
+      EXPECT_FALSE(R.hasErrors()) << engineName(Eng) << " FireAt=" << FireAt;
+    }
   }
 }

@@ -55,6 +55,7 @@ TEST_P(LintExplainGoldenTest, TextTrailMatchesExpectedUnderBothEngines) {
     LintOptions Opts;
     Opts.Engine = Eng;
     Opts.Explain = true;
+    Opts.CrossCheck = true;
     LintResult R = lintSource(Src, File, Opts);
     EXPECT_EQ(R.EngineDivergences, 0u);
     EXPECT_FALSE(R.hasErrors());

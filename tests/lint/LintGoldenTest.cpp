@@ -2,9 +2,10 @@
 //
 // Lints every bundled example program and compares the text rendering
 // against a checked-in .expected file. Each program is linted with BOTH
-// solver engines; the output must be identical (the golden file encodes
-// the engine-independent truth) and the built-in cross-check must see
-// zero divergences.
+// solver engines, each with the opt-in engine cross-check on; the
+// output must be identical (the golden file encodes the
+// engine-independent truth) and the cross-check must see zero
+// divergences.
 //
 // To regenerate after an intentional diagnostic change:
 //   cd examples/programs && for f in *.arf; do
@@ -51,6 +52,7 @@ TEST_P(LintGoldenTest, MatchesExpectedUnderBothEngines) {
                                     SolverOptions::Engine::PackedKernel}) {
     LintOptions Opts;
     Opts.Engine = Eng;
+    Opts.CrossCheck = true;
     LintResult R = lintSource(Src, File, Opts);
     EXPECT_EQ(R.EngineDivergences, 0u);
     EXPECT_FALSE(R.hasErrors());

@@ -13,9 +13,11 @@ using namespace ardf;
 namespace {
 
 LintResult lint(const std::string &Src,
-                SolverOptions::Engine Eng = SolverOptions::Engine::Reference) {
+                SolverOptions::Engine Eng = SolverOptions::Engine::Reference,
+                bool CrossCheck = false) {
   LintOptions Opts;
   Opts.Engine = Eng;
+  Opts.CrossCheck = CrossCheck;
   return lintSource(Src, "test.arf", Opts);
 }
 
@@ -256,8 +258,8 @@ TEST(LintEngineTest, PackedEngineProducesIdenticalDiagnostics) {
       "do i = 1, 10 {\n  A[i+1] = B[i];\n  A[i] = C[i];\n}\n",
   };
   for (const char *Src : Programs) {
-    LintResult Ref = lint(Src, SolverOptions::Engine::Reference);
-    LintResult Packed = lint(Src, SolverOptions::Engine::PackedKernel);
+    LintResult Ref = lint(Src, SolverOptions::Engine::Reference, true);
+    LintResult Packed = lint(Src, SolverOptions::Engine::PackedKernel, true);
     EXPECT_EQ(renderedJson(Ref), renderedJson(Packed)) << Src;
     EXPECT_EQ(Ref.EngineDivergences, 0u);
     EXPECT_EQ(Packed.EngineDivergences, 0u);

@@ -211,10 +211,10 @@ TEST_F(IncrementalLintTest, OptionAndBudgetChangesRelintEverything) {
   std::mt19937 R(3);
   FlatDoc D = randomDoc(R, 4);
   expectLint(D.text(), 0, 4);
-  LintRequest NoCross;
-  NoCross.Extra = ",\"cross_check\":false";
-  NoCross.Ref.CrossCheck = false;
-  expectLint(D.text(), 0, 4, NoCross);
+  LintRequest Cross;
+  Cross.Extra = ",\"cross_check\":true";
+  Cross.Ref.CrossCheck = true;
+  expectLint(D.text(), 0, 4, Cross);
   LintRequest Budget;
   Budget.Extra = ",\"budget\":{\"visits\":100000}";
   Budget.Ref.Budget.MaxNodeVisits = 100000;

@@ -42,10 +42,18 @@ TEST(ProtocolTest, DefaultsApply) {
   ASSERT_TRUE(P.Ok) << P.Error;
   EXPECT_EQ(P.R.Tenant, "default");
   EXPECT_EQ(P.R.File, "<request>");
-  EXPECT_TRUE(P.R.CrossCheck);
+  EXPECT_FALSE(P.R.CrossCheck);
   EXPECT_TRUE(P.R.IncludeNested);
   EXPECT_TRUE(P.R.Id.isNull());
-  EXPECT_EQ(P.R.Engine, SolverOptions::Engine::Reference);
+  EXPECT_EQ(P.R.Engine, SolverOptions::Engine::PackedKernel);
+}
+
+TEST(ProtocolTest, CrossCheckIsOptIn) {
+  ParsedRequest P = parseRequest(
+      "{\"method\":\"lint\",\"source\":\"\",\"cross_check\":true}");
+  ASSERT_TRUE(P.Ok) << P.Error;
+  EXPECT_TRUE(P.R.CrossCheck);
+  EXPECT_EQ(P.R.Engine, SolverOptions::Engine::PackedKernel);
 }
 
 TEST(ProtocolTest, StatsAndShutdownNeedNoSource) {

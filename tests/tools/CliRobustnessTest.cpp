@@ -144,6 +144,30 @@ TEST(CliRobustnessTest, EngineNamesAreValidated) {
   }
 }
 
+TEST(CliRobustnessTest, EngineChoicesLiveWhereTheyAreRead) {
+  // The daemon reads the engine from each request, so `ardf serve` has
+  // no server-wide --engine; a request still names one.
+  std::string Out;
+  EXPECT_EQ(runCapture(Serve + " --engine=packed </dev/null", Out), 2);
+  EXPECT_NE(Out.find("unknown option '--engine=packed'"), std::string::npos)
+      << Out;
+  EXPECT_EQ(runCapture("printf '%s\\n' '{\"method\":\"lint\",\"source\":\"\","
+                       "\"engine\":\"reference\",\"cross_check\":true}' | " +
+                           Serve,
+                       Out),
+            0);
+  EXPECT_NE(Out.find("\"ok\":true"), std::string::npos) << Out;
+  // The engine cross-check is opt-in; the summary names it only then,
+  // and the old opt-out spelling is not an alias.
+  EXPECT_EQ(runCapture(Lint + " " + Example, Out), 0);
+  EXPECT_EQ(Out.find("engine cross-check"), std::string::npos) << Out;
+  EXPECT_EQ(runCapture(Lint + " --cross-check " + Example, Out), 0);
+  EXPECT_NE(Out.find("; engine cross-check: 0 divergence(s)"),
+            std::string::npos)
+      << Out;
+  EXPECT_EQ(run(Lint + " --no-cross-check " + Example), 2);
+}
+
 TEST(CliRobustnessTest, NumericOptionsAreStrict) {
   // A numeric option value is the whole text or a usage error: no
   // prefix reads ("2s" as 2), no garbage read as 0 (which would lift a

@@ -34,7 +34,8 @@ std::vector<Flag> cli::commonFlags(CommonOptions &O, unsigned Groups) {
   if (Groups & EngineFlag)
     Flags.push_back({"--engine", Arity::Required, "NAME",
                      std::string("solver engine, one of: ") +
-                         engineNameList(),
+                         engineNameList() + "\n(default: " +
+                         engineName(O.Engine) + ")",
                      [&O](const std::string &V, std::string &Err) {
                        if (!parseEngineName(V, O.Engine))
                          Err = "unknown engine '" + V +

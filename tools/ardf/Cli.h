@@ -60,9 +60,11 @@ Flag numberFlag(const char *Name, std::string Help, T &Out, uint64_t Min = 0,
           }};
 }
 
-/// The options more than one subcommand takes.
+/// The options more than one subcommand takes. The packed kernel is the
+/// default engine; the reference engine (`--engine=reference`) is the
+/// oracle.
 struct CommonOptions {
-  SolverOptions::Engine Engine = SolverOptions::Engine::Reference;
+  SolverOptions::Engine Engine = SolverOptions::Engine::PackedKernel;
   SolverBudget Budget;
   uint64_t MaxInputBytes = io::DefaultMaxInputBytes;
   std::string TraceOut;

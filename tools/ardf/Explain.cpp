@@ -49,7 +49,6 @@ bool resolveProblem(const std::string &Name, ProblemSpec &Out) {
 
 int cli::runExplain(const std::vector<std::string> &Args) {
   CommonOptions Common;
-  Common.Engine = SolverOptions::Engine::PackedKernel;
   std::string Problem, Cell;
   unsigned LoopIndex = 0;
   int NodeArg = -1;

@@ -34,7 +34,7 @@ int cli::runLint(const std::vector<std::string> &Args) {
   CommonOptions Common;
   LintOptions Lint;
   Format Fmt = Format::Text;
-  bool NoCrossCheck = false, NoNested = false, Strict = false;
+  bool NoNested = false, Strict = false;
   bool ListChecks = false, Quiet = false, Stats = false;
   std::string StatsOut;
 
@@ -70,8 +70,10 @@ int cli::runLint(const std::vector<std::string> &Args) {
                      StatsOut = V;
                      return Stats = true;
                    }});
-  Flags.push_back(switchFlag("--no-cross-check",
-                             "skip solving with both engines", NoCrossCheck));
+  Flags.push_back(switchFlag("--cross-check",
+                             "also solve with the reference engine and\n"
+                             "report any divergence as an error",
+                             Lint.CrossCheck));
   Flags.push_back(
       switchFlag("--no-nested", "lint outermost loops only", NoNested));
   Flags.push_back(switchFlag("--strict",
@@ -89,7 +91,9 @@ int cli::runLint(const std::vector<std::string> &Args) {
       "Array reference diagnostics over .arf loop programs, backed by the\n"
       "(G,K) data flow framework: redundant-load, dead-store,\n"
       "loop-carried-reuse, cross-iteration-conflict, plus precondition\n"
-      "validation.\n",
+      "validation. The checks solve with the packed kernel engine;\n"
+      "--cross-check also solves every problem with the reference engine\n"
+      "and reports any divergence as an engine-divergence error.\n",
       Flags, "exit codes: 0 clean, 1 error diagnostics, 2 usage/IO failure\n");
   std::vector<std::string> Files;
   if (std::optional<int> Exit = parseArgs(Tool, Args, Flags, Usage, Files))
@@ -104,7 +108,6 @@ int cli::runLint(const std::vector<std::string> &Args) {
     return usageError(Tool, "no input files", Usage);
   Lint.Engine = Common.Engine;
   Lint.Budget = Common.Budget;
-  Lint.CrossCheck = !NoCrossCheck;
   Lint.IncludeNested = !NoNested;
 
   // Telemetry is installed only when requested, so a plain lint run

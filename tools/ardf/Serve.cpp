@@ -186,7 +186,7 @@ int cli::runServe(const std::vector<std::string> &Args) {
   // from overflowing.
   const uint64_t MaxMs = UINT64_MAX / 2000000;
 
-  std::vector<Flag> Flags = commonFlags(Common, EngineFlag | BudgetFlags);
+  std::vector<Flag> Flags = commonFlags(Common, BudgetFlags);
   Flags.push_back(textFlag("--socket", "PATH",
                            "serve on a Unix socket (default: stdio,\n"
                            "exiting at EOF)",
@@ -225,8 +225,10 @@ int cli::runServe(const std::vector<std::string> &Args) {
       "request object per line, one response line per request (methods:\n"
       "analyze, lint, explain, stats, shutdown). Programs, warm sessions\n"
       "and results are cached per tenant; edits re-solve only the changed\n"
-      "loops. The budget flags set server-wide ceilings that requests may\n"
-      "tighten, never loosen.\n",
+      "loops. A request names its engine (\"engine\": \"packed\", the\n"
+      "default, or \"reference\") and opts in to the engine cross-check\n"
+      "with \"cross_check\": true. The budget flags set server-wide\n"
+      "ceilings that requests may tighten, never loosen.\n",
       Flags, "exit codes: 0 orderly shutdown, 2 usage/socket failure\n");
   std::vector<std::string> Extra;
   if (std::optional<int> Exit = parseArgs(Tool, Args, Flags, Usage, Extra))
@@ -236,7 +238,6 @@ int cli::runServe(const std::vector<std::string> &Args) {
   if (!SocketPath.empty() && !ConnectPath.empty())
     return usageError(Tool, "--socket and --connect are mutually exclusive",
                       Usage);
-  Serve.Engine = Common.Engine;
   Serve.Budget = Common.Budget;
   if (!ConnectPath.empty())
     return runClient(ConnectPath);
